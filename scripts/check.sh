@@ -27,8 +27,8 @@ echo "== chaos: deterministic fault-injection suites =="
 ctest --test-dir build --output-on-failure -L chaos
 
 echo "== cm: contention-management suites =="
-# Policy algebra, elder starvation recovery, admission control, watchdog,
-# and the CM x clock-scheme chaos matrix (same seed-replay contract).
+# Policy algebra, elder starvation recovery, watchdog, and the CM x
+# clock-scheme chaos matrix (same seed-replay contract).
 ctest --test-dir build --output-on-failure -L cm
 
 echo "== mvcc: snapshot reads + epoch reclamation =="
@@ -97,9 +97,9 @@ TSAN_OPTIONS="$TSAN" ./build-tsan/tests/sync_stress_test
 # the sanitizer observes. A subset keeps the run inside the time budget.
 TSAN_OPTIONS="$TSAN" ./build-tsan/tests/chaos_test \
   --gtest_filter='*eager_pess*:*lazy_memo_lazystm*:ChaosDeterminismTest.*'
-# Contention management under TSan: the doom/priority/elder protocol and the
-# admission controller are lock-free cross-thread state; the cm label runs
-# the whole surface (unit + chaos matrix) with the race detector watching.
+# Contention management under TSan: the doom/priority/elder protocol is
+# lock-free cross-thread state; the cm label runs the whole surface (unit +
+# chaos matrix) with the race detector watching.
 TSAN_OPTIONS="$TSAN" ctest --test-dir build-tsan --output-on-failure -L cm
 # MVCC + EBR under TSan: snapshot readers traverse version chains that
 # writers concurrently push and truncate, and the EBR epoch protocol's

@@ -1,7 +1,7 @@
 // Deterministic runtime fault injection ("chaos") for the STM and the
 // Proust wrapper layers. The correctness story of the design space rests on
 // its *failure* paths — inverse-log rollback, replay-log dropping,
-// abstract-lock release on timeout-abort, the irrevocable fallback — and
+// abstract-lock release on timeout-abort, elder starvation recovery — and
 // those paths only break under adversarial contention. A ChaosPolicy
 // manufactures that adversity on demand: each injection point (ChaosPoint in
 // fwd.hpp) can inject a spurious abort, a bounded delay/yield, or a forced

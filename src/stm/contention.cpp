@@ -1,20 +1,10 @@
 #include "stm/contention.hpp"
 
-#include <chrono>
-#include <thread>
-
 namespace proust::stm {
 
 namespace {
 
-std::uint64_t now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Backoff / Yield / None: the trivial inter-attempt policies. They never
+/// Backoff / None: the trivial inter-attempt policies. They never
 /// arbitrate (requester-aborts, the pre-CM behavior) and track per-slot
 /// state only when the watchdog asks for it (cm_progress_tracking).
 class TrivialCm final : public ContentionManager {
@@ -25,11 +15,8 @@ class TrivialCm final : public ContentionManager {
   const char* name() const noexcept override { return to_string(policy_); }
 
   void pause(Backoff& backoff) override {
-    switch (policy_) {
-      case CmPolicy::ExponentialBackoff: backoff.pause(); break;
-      case CmPolicy::Yield: std::this_thread::yield(); break;
-      default: break;  // None: retry immediately
-    }
+    if (policy_ == CmPolicy::ExponentialBackoff) backoff.pause();
+    // None: retry immediately
   }
 
  private:
@@ -132,66 +119,6 @@ std::unique_ptr<ContentionManager> make_contention_manager(
       return std::make_unique<TrivialCm>(state, options.cm_policy,
                                          options.cm_progress_tracking);
   }
-}
-
-std::uint64_t AdmissionController::admit() noexcept {
-  if (!enabled_) return 0;
-  std::uint32_t a = active_.load(std::memory_order_relaxed);
-  while (a < limit_.load(std::memory_order_relaxed)) {
-    if (active_.compare_exchange_weak(a, a + 1, std::memory_order_acq_rel,
-                                      std::memory_order_relaxed)) {
-      return 0;
-    }
-  }
-  // Throttled: wait for a token off to the side. Nothing transactional is
-  // held here (admission precedes the first attempt), so sleeping is safe;
-  // short naps rather than spinning so the admitted transactions — the ones
-  // we are shedding load for — get the cycles.
-  const std::uint64_t t0 = now_ns();
-  unsigned spins = 0;
-  for (;;) {
-    a = active_.load(std::memory_order_relaxed);
-    if (a < limit_.load(std::memory_order_relaxed) &&
-        active_.compare_exchange_weak(a, a + 1, std::memory_order_acq_rel,
-                                      std::memory_order_relaxed)) {
-      return now_ns() - t0;
-    }
-    if (++spins < 16) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-}
-
-void AdmissionController::note_outcome(bool committed) noexcept {
-  if (!enabled_) return;
-  (committed ? window_commits_ : window_aborts_)
-      .fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t seen =
-      window_commits_.load(std::memory_order_relaxed) +
-      window_aborts_.load(std::memory_order_relaxed);
-  if (seen < window_) return;
-  if (adapting_.exchange(true, std::memory_order_acq_rel)) return;
-  // One adapter at a time; the exchanges race with concurrent counting, so
-  // a boundary is approximate — fine, the window is a smoothing device.
-  const std::uint64_t commits =
-      window_commits_.exchange(0, std::memory_order_acq_rel);
-  const std::uint64_t aborts =
-      window_aborts_.exchange(0, std::memory_order_acq_rel);
-  const std::uint64_t total = commits + aborts;
-  if (total > 0) {
-    const double ratio =
-        static_cast<double>(aborts) / static_cast<double>(total);
-    std::uint32_t lim = limit_.load(std::memory_order_relaxed);
-    if (ratio > high_) {
-      lim = lim / 2 < min_tokens_ ? min_tokens_ : lim / 2;  // MD
-    } else if (ratio < low_ && lim < max_tokens_) {
-      lim += 1;  // AI
-    }
-    limit_.store(lim, std::memory_order_relaxed);
-  }
-  adapting_.store(false, std::memory_order_release);
 }
 
 }  // namespace proust::stm

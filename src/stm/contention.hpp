@@ -2,9 +2,9 @@
 // transaction does between attempts AND what it does the moment it detects a
 // conflict — the coupling the paper's §7 laments is usually missing.
 //
-// Three cooperating pieces:
+// Two cooperating pieces:
 //
-//   ContentionManager — the policy interface. Backoff/Yield/None are the
+//   ContentionManager — the policy interface. Backoff/None are the
 //     trivial inter-attempt policies (requester-aborts at conflicts, exactly
 //     the pre-existing behavior); Karma weighs priority by work performed
 //     (reads + writes across the call's aborted attempts); TimestampAging is
@@ -20,14 +20,8 @@
 //     attempt count passes StmOptions::cm_elder_after publishes itself as
 //     the elder: committers defer briefly (bounded by cm_elder_yield) and
 //     lock waiters shed (sync/cm_hook.hpp), giving the starving transaction
-//     a clean window — a per-transaction starvation bound with NO
-//     stop-the-world gate.
-//
-//   AdmissionController — graceful degradation under overload: a sliding
-//     window of commit/abort outcomes adapts a token count (AIMD: halve on
-//     abort ratio > admission_high, +1 on ratio < admission_low); new
-//     top-level transactions wait for a token, shedding effective
-//     parallelism instead of livelocking.
+//     a clean window — the runtime's one per-transaction starvation bound,
+//     and it serializes nothing.
 //
 // Every decision here is a pure function of published priorities — no
 // randomness — so chaos runs stay deterministic (the CM consumes nothing
@@ -36,7 +30,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 
@@ -198,61 +191,5 @@ class ContentionManager : public sync::CmLockArbiter {
 /// `options.cm_progress_tracking` asks for watchdog-grade diagnostics.
 std::unique_ptr<ContentionManager> make_contention_manager(
     const StmOptions& options, CmState& state);
-
-/// Adaptive admission control (see file comment). All methods are
-/// thread-safe; admit()/release() bracket one top-level atomically() call.
-class AdmissionController {
- public:
-  void configure(const StmOptions& o) noexcept {
-    enabled_ = o.admission_control;
-    if (!enabled_) return;
-    window_ = o.admission_window == 0 ? 1 : o.admission_window;
-    high_ = o.admission_high;
-    low_ = o.admission_low;
-    min_tokens_ = o.admission_min_tokens == 0 ? 1 : o.admission_min_tokens;
-    max_tokens_ = o.admission_max_tokens == 0 ? ThreadRegistry::kMaxSlots
-                                              : o.admission_max_tokens;
-    if (min_tokens_ > max_tokens_) min_tokens_ = max_tokens_;
-    limit_.store(max_tokens_, std::memory_order_relaxed);
-  }
-
-  bool enabled() const noexcept { return enabled_; }
-  std::uint32_t limit() const noexcept {
-    return limit_.load(std::memory_order_relaxed);
-  }
-  std::uint32_t active() const noexcept {
-    return active_.load(std::memory_order_relaxed);
-  }
-
-  /// Block until a token is free. Returns the nanoseconds spent throttled
-  /// (0 = admitted on the fast path). Callers hold no STM resources here —
-  /// admission happens before the first attempt begins — so waiting cannot
-  /// deadlock; the token floor (min_tokens >= 1) guarantees progress.
-  std::uint64_t admit() noexcept;
-
-  /// Return the token taken by admit().
-  void release() noexcept {
-    active_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-
-  /// Feed one attempt outcome into the sliding window; at each window
-  /// boundary one caller recomputes the token count (AIMD).
-  void note_outcome(bool committed) noexcept;
-
- private:
-  bool enabled_ = false;
-  unsigned window_ = 512;
-  double high_ = 0.55;
-  double low_ = 0.25;
-  std::uint32_t min_tokens_ = 2;
-  std::uint32_t max_tokens_ = ThreadRegistry::kMaxSlots;
-
-  alignas(kCacheLine) std::atomic<std::uint32_t> active_{0};
-  alignas(kCacheLine) std::atomic<std::uint32_t> limit_{
-      ThreadRegistry::kMaxSlots};
-  alignas(kCacheLine) std::atomic<std::uint64_t> window_commits_{0};
-  std::atomic<std::uint64_t> window_aborts_{0};
-  std::atomic<bool> adapting_{false};
-};
 
 }  // namespace proust::stm

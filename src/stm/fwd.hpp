@@ -68,7 +68,6 @@ enum class AbortReason : std::uint8_t {
   WriteLocked,       // write-lock acquisition found a foreign owner
   VisibleReader,     // eager-all writer yielded to visible readers
   AbstractLockTimeout,  // pessimistic LAP gave up waiting for an abstract lock
-  FallbackGate,      // commit yielded to an in-flight irrevocable fallback
   Explicit,          // user called Txn::abort()
   ChaosInjected,     // spurious abort injected by the chaos policy
   CmKilled,          // aborted on request of a higher-priority transaction
@@ -85,7 +84,6 @@ constexpr const char* to_string(AbortReason r) noexcept {
     case AbortReason::WriteLocked: return "write-locked";
     case AbortReason::VisibleReader: return "visible-reader";
     case AbortReason::AbstractLockTimeout: return "abstract-lock-timeout";
-    case AbortReason::FallbackGate: return "fallback-gate";
     case AbortReason::Explicit: return "explicit";
     case AbortReason::ChaosInjected: return "chaos-injected";
     case AbortReason::CmKilled: return "cm-killed";

@@ -1,8 +1,8 @@
 // Runtime policy knobs for the STM: the contention-management policy applied
 // between retry attempts and at detected conflicts (§7 discusses how much CM
-// coupling matters), the global-version-clock scheme used by the commit path,
-// an optional serializing fallback that bounds retries under pathological
-// contention, adaptive admission control, and the progress-watchdog hooks.
+// coupling matters) together with the elder protocol that bounds each call's
+// retries, the global-version-clock scheme used by the commit path, and the
+// progress-watchdog hooks.
 #pragma once
 
 #include <chrono>
@@ -23,9 +23,6 @@ enum class CmPolicy : std::uint8_t {
   /// Randomized exponential backoff (default; what the evaluation uses).
   /// Conflicts are resolved requester-aborts, as in classic TL2.
   ExponentialBackoff,
-  /// Surrender the processor once; no spinning. Good on oversubscribed
-  /// machines, poor when the opponent needs more than one quantum.
-  Yield,
   /// Retry immediately. Maximal livelock exposure; useful as the ablation
   /// baseline for the CM bench.
   None,
@@ -43,7 +40,6 @@ enum class CmPolicy : std::uint8_t {
 constexpr const char* to_string(CmPolicy p) noexcept {
   switch (p) {
     case CmPolicy::ExponentialBackoff: return "backoff";
-    case CmPolicy::Yield: return "yield";
     case CmPolicy::None: return "none";
     case CmPolicy::Karma: return "karma";
     case CmPolicy::TimestampAging: return "aging";
@@ -126,31 +122,6 @@ struct StmOptions {
   /// read path is then used exclusively and pays one never-taken branch.
   bool optimistic_reads = false;
 
-  /// If nonzero, an atomically() call whose *eligible* attempt count reaches
-  /// this threshold re-runs under the STM's exclusive commit gate: no other
-  /// transaction can commit while it executes, so its reads cannot be
-  /// invalidated and (absent user exceptions) it succeeds. Attempts aborted
-  /// by injected chaos faults (AbortReason::ChaosInjected) are NOT eligible —
-  /// fault-injection runs must not spuriously serialize the workload.
-  /// Ordinary commits take the gate in shared mode with try-lock semantics —
-  /// failing the try-lock aborts the ordinary transaction rather than
-  /// blocking it while it holds encounter-time locks, which keeps the
-  /// protocol deadlock-free. 0 disables the gate entirely (no per-commit
-  /// cost).
-  unsigned fallback_after = 0;
-
-  /// Budget for one irrevocable fallback attempt (gate-hold duration). The
-  /// hold time is always recorded in stats (gate_ns / gate_max_ns); when the
-  /// budget is nonzero, an overrunning hold is reported by the watchdog
-  /// while it is still in flight, and asserted on release in debug builds if
-  /// `fallback_budget_fatal` is also set. 0 = record but never judge.
-  std::chrono::nanoseconds fallback_budget{0};
-
-  /// Make a debug build abort() when a fallback attempt exceeds
-  /// `fallback_budget` (off by default so the watchdog reporting path is
-  /// testable without dying).
-  bool fallback_budget_fatal = false;
-
   // --- Inter-attempt backoff shape (common/backoff.hpp) -------------------
   /// Initial randomized spin window after the first abort.
   std::uint32_t backoff_min_spins = 32;
@@ -168,38 +139,20 @@ struct StmOptions {
   /// Eligible (non-chaos) aborted attempts after which a transaction
   /// requests starvation recovery: it publishes itself as the STM's "elder"
   /// and committers defer to it briefly (see cm_elder_yield). Bounds the
-  /// attempt count of any transaction without taking the global gate.
+  /// attempt count of any transaction without serializing the others.
   unsigned cm_elder_after = 16;
   /// How long a committing transaction defers to a published elder before
-  /// proceeding anyway. Bounded, so a wedged elder cannot stall commits the
-  /// way the irrevocable gate can.
+  /// proceeding anyway. Bounded, so a wedged elder cannot stall commits.
   std::chrono::nanoseconds cm_elder_yield = std::chrono::microseconds(250);
   /// Publish per-slot priority/diagnostic state even under the trivial
-  /// policies (backoff/yield/none). Required for the progress watchdog's
-  /// per-slot stall reports when no priority CM is active; the priority
-  /// policies always track.
+  /// policies (backoff/none). Required for the progress watchdog's per-slot
+  /// stall reports and for the elder protocol when no priority CM is
+  /// active; the priority policies always track.
   bool cm_progress_tracking = false;
 
-  // --- Adaptive admission control ------------------------------------------
-  /// Gate new top-level transactions through a token counter whose size
-  /// adapts to the sliding-window commit/abort ratio: past admission_high
-  /// the token count halves (shed effective parallelism instead of
-  /// livelocking), below admission_low it creeps back up. Off by default.
-  bool admission_control = false;
-  /// Attempts (commits + aborts) per adaptation window.
-  unsigned admission_window = 512;
-  /// Window abort ratio above which the token count is halved.
-  double admission_high = 0.55;
-  /// Window abort ratio below which the token count is incremented.
-  double admission_low = 0.25;
-  /// Floor of the token count (never shed below this concurrency).
-  unsigned admission_min_tokens = 2;
-  /// Ceiling of the token count; 0 = one per registry slot (uncapped).
-  unsigned admission_max_tokens = 0;
-
   /// Invoked by a Watchdog (stm/watchdog.hpp) when it detects a stalled
-  /// commit epoch or a gate-budget overrun. Called from the watchdog thread;
-  /// must not run transactions on this Stm. Null = report to stderr.
+  /// commit epoch. Called from the watchdog thread; must not run
+  /// transactions on this Stm. Null = report to stderr.
   std::function<void(const StallReport&)> on_stall;
 
   /// Abstract-lock acquisition timeout used by pessimistic LAPs constructed

@@ -52,16 +52,9 @@ struct StatsSnapshot {
 
   /// Cumulative wait time, in nanoseconds, split by where it was spent:
   /// inter-attempt backoff pauses, bounded contention-manager waits at
-  /// conflicts (incl. elder deference), and admission-control throttling.
+  /// conflicts (incl. elder deference).
   std::uint64_t backoff_ns = 0;
   std::uint64_t cm_wait_ns = 0;
-  std::uint64_t throttle_ns = 0;
-  std::uint64_t throttle_waits = 0;  // admit() calls that had to block
-
-  /// Irrevocable-fallback gate holds: count, total and worst hold time.
-  std::uint64_t gate_holds = 0;
-  std::uint64_t gate_ns = 0;
-  std::uint64_t gate_max_ns = 0;
 
   /// MVCC mode: commits that took the snapshot read-only path (no read set,
   /// no validation, cannot abort), version-chain entries pushed by writers,
@@ -115,11 +108,6 @@ class Stats {
     std::uint64_t max_attempts = 0;
     std::uint64_t backoff_ns = 0;
     std::uint64_t cm_wait_ns = 0;
-    std::uint64_t throttle_ns = 0;
-    std::uint64_t throttle_waits = 0;
-    std::uint64_t gate_holds = 0;
-    std::uint64_t gate_ns = 0;
-    std::uint64_t gate_max_ns = 0;
     std::uint64_t ro_commits = 0;
     std::uint64_t mvcc_pushed = 0;
     std::uint64_t mvcc_reclaimed = 0;
@@ -177,15 +165,6 @@ class Stats {
     }
     void count_cm_wait_ns(std::uint64_t ns) noexcept {
       bump(c_->cm_wait_ns, ns);
-    }
-    void count_throttle_ns(std::uint64_t ns) noexcept {
-      bump(c_->throttle_ns, ns);
-      bump(c_->throttle_waits);
-    }
-    void count_gate_hold_ns(std::uint64_t ns) noexcept {
-      bump(c_->gate_holds);
-      bump(c_->gate_ns, ns);
-      if (ns > ld(c_->gate_max_ns)) st(c_->gate_max_ns, ns);
     }
     void count_ro_commit() noexcept { bump(c_->ro_commits); }
     /// `n` chain entries pushed this commit; `chain_len` the longest chain

@@ -13,8 +13,6 @@
 #include <cassert>
 #include <chrono>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
@@ -38,7 +36,6 @@ class Stm {
   explicit Stm(Mode mode = Mode::Lazy, StmOptions options = {})
       : mode_(mode), options_(options),
         cm_(make_contention_manager(options_, cm_state_)), id_(next_id()) {
-    admission_.configure(options_);
     if (options_.mvcc) {
       mvcc_ = std::make_unique<MvccState>(ThreadRegistry::kMaxSlots,
                                           options_.numa_placement);
@@ -65,23 +62,13 @@ class Stm {
   Stats& stats() noexcept { return stats_; }
 
   /// The contention-management subsystem (stm/contention.hpp): the policy
-  /// object, the per-slot priority table, and the admission controller.
+  /// object and the per-slot priority table.
   ContentionManager& cm() noexcept { return *cm_; }
   CmState& cm_state() noexcept { return cm_state_; }
-  AdmissionController& admission() noexcept { return admission_; }
 
   /// Multi-version snapshot state, or nullptr when StmOptions::mvcc is off
   /// (the Txn hot paths branch on this pointer exactly once).
   MvccState* mvcc_state() noexcept { return mvcc_.get(); }
-
-  /// In-flight irrevocable-fallback hold, for the watchdog: entry time in
-  /// steady-clock nanoseconds (0 = gate not held) and the holder's slot.
-  std::uint64_t gate_entered_ns() const noexcept {
-    return gate_entered_ns_.load(std::memory_order_acquire);
-  }
-  unsigned gate_holder() const noexcept {
-    return gate_holder_.load(std::memory_order_relaxed);
-  }
 
   Version clock_now() const noexcept {
     return clock_.load(std::memory_order_acquire);
@@ -174,9 +161,7 @@ class Stm {
   /// Run `body(Txn&)` atomically, retrying on conflict under the configured
   /// contention manager. Re-entrant calls on the same thread join the
   /// enclosing transaction (flat nesting). User exceptions abort the
-  /// transaction (inverses/finish hooks run) and propagate. When admission
-  /// control is enabled, new top-level calls may be throttled here before
-  /// their first attempt.
+  /// transaction (inverses/finish hooks run) and propagate.
   template <class F>
   auto atomically(F&& body) -> std::invoke_result_t<F&, Txn&> {
     return atomically_impl(std::forward<F>(body), /*declared_ro=*/false);
@@ -211,21 +196,13 @@ class Stm {
     Txn tx(*this);
     if (!pin_plan_.empty()) maybe_pin(tx.slot());
     if (declared_ro && mvcc_ != nullptr) tx.mvcc_declared_ = true;
-    if (admission_.enabled()) {
-      // Throttle before the first attempt: nothing transactional is held
-      // yet, so blocking here sheds load without any deadlock exposure.
-      const std::uint64_t waited = admission_.admit();
-      if (waited != 0) stats_.counters(tx.slot()).count_throttle_ns(waited);
-    }
-    // Per-call bookkeeping that must run on every exit path, including a
-    // propagating user exception: the attempts histogram and the admission
-    // token.
+    // The attempts histogram must be fed on every exit path, including a
+    // propagating user exception.
     struct CallGuard {
       Stm* stm;
       Txn* tx;
       ~CallGuard() {
         stm->stats_.counters(tx->slot()).count_call(tx->attempt());
-        if (stm->admission_.enabled()) stm->admission_.release();
       }
     } call_guard{this, &tx};
     // Seed from the thread slot as well as the stack address: stacks are
@@ -237,61 +214,26 @@ class Stm {
                     options_.backoff_min_spins, options_.backoff_max_spins,
                     options_.backoff_yield_after);
     for (;;) {
-      // Irrevocable fallback: past the threshold of *eligible* attempts
-      // (injected chaos aborts do not count), hold the commit gate
-      // exclusively for the whole attempt — no other transaction can commit
-      // under us, so our snapshot stays valid and the attempt succeeds.
-      std::unique_lock<std::shared_mutex> exclusive_gate;
-      std::uint64_t gate_t0 = 0;
-      if (options_.fallback_after != 0 &&
-          tx.eligible_attempts() + 1 > options_.fallback_after) {
-        exclusive_gate = std::unique_lock<std::shared_mutex>(gate_);
-        tx.set_gate_exempt(true);
-        gate_t0 = steady_now_ns();
-        gate_holder_.store(tx.slot(), std::memory_order_relaxed);
-        gate_entered_ns_.store(gate_t0, std::memory_order_release);
-      }
       try {
         tx.begin();
         if constexpr (std::is_void_v<R>) {
           body(tx);
           tx.commit();
-          if (gate_t0 != 0) finish_gate_hold(tx.slot(), gate_t0);
-          if (admission_.enabled()) admission_.note_outcome(true);
           return;
         } else {
           R result = body(tx);
           tx.commit();
-          if (gate_t0 != 0) finish_gate_hold(tx.slot(), gate_t0);
-          if (admission_.enabled()) admission_.note_outcome(true);
           return result;
         }
       } catch (const ConflictAbort& a) {
         tx.rollback(a.reason);
-        if (exclusive_gate.owns_lock()) exclusive_gate.unlock();
-        if (gate_t0 != 0) finish_gate_hold(tx.slot(), gate_t0);
-        tx.set_gate_exempt(false);
-        if (admission_.enabled()) admission_.note_outcome(false);
         pause_between_attempts(tx.slot(), backoff);
       } catch (...) {
         tx.rollback(AbortReason::Explicit);
-        if (gate_t0 != 0) finish_gate_hold(tx.slot(), gate_t0);
-        // Reset gate exemption before propagating: a Txn (or arena) reused
-        // after a user exception must not inherit stale fallback state. The
-        // exclusive gate itself is released by exclusive_gate's destructor.
-        tx.set_gate_exempt(false);
-        if (admission_.enabled()) admission_.note_outcome(false);
         throw;
       }
     }
   }
-
- public:
-  /// Shared-side commit gate used when the fallback is enabled. Ordinary
-  /// commits try-lock it; failure means a fallback transaction is running
-  /// and the committer must abort (never block while holding STM locks).
-  bool gate_enabled() const noexcept { return options_.fallback_after != 0; }
-  std::shared_mutex& gate() noexcept { return gate_; }
 
  private:
   friend class Txn;
@@ -311,21 +253,6 @@ class Stm {
     const std::uint64_t t0 = steady_now_ns();
     cm_->pause(backoff);
     stats_.counters(slot).count_backoff_ns(steady_now_ns() - t0);
-  }
-
-  /// Close out one irrevocable-fallback hold: record the duration, clear
-  /// the watchdog-visible publication, and (optionally, debug builds only)
-  /// die on a budget overrun.
-  void finish_gate_hold(unsigned slot, std::uint64_t t0) noexcept {
-    const std::uint64_t held = steady_now_ns() - t0;
-    gate_entered_ns_.store(0, std::memory_order_release);
-    gate_holder_.store(~0u, std::memory_order_relaxed);
-    stats_.counters(slot).count_gate_hold_ns(held);
-    if (options_.fallback_budget.count() > 0 && options_.fallback_budget_fatal) {
-      assert(held <= static_cast<std::uint64_t>(
-                         options_.fallback_budget.count()) &&
-             "irrevocable fallback attempt exceeded its configured budget");
-    }
   }
 
   /// Stamps handed out per thread slot; padded so neighbouring slots never
@@ -375,13 +302,9 @@ class Stm {
   Mode mode_;
   StmOptions options_;
   Stats stats_;
-  std::shared_mutex gate_;
   CmState cm_state_;
   std::unique_ptr<ContentionManager> cm_;
-  AdmissionController admission_;
   std::unique_ptr<MvccState> mvcc_;
-  std::atomic<std::uint64_t> gate_entered_ns_{0};
-  std::atomic<std::uint32_t> gate_holder_{~0u};
   std::uint64_t id_;
 };
 

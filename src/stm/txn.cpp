@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <shared_mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -108,11 +107,10 @@ void Txn::cm_begin_attempt() {
   if (elder_after != 0 && eligible_attempts_ >= elder_after) {
     st.publish_elder(slot_);
   }
-  // The published elder (and the irrevocable fallback attempt) runs at the
-  // strongest priority: everyone else's arbitration yields to it, which is
-  // what makes its recovery window converge.
-  const bool boosted = gate_exempt_ || st.elder() == slot_ + 1;
-  cm_pri_ = boosted ? 0 : cm_->priority(cm_token_, karma_);
+  // The published elder runs at the strongest priority: everyone else's
+  // arbitration yields to it, which is what makes its recovery window
+  // converge.
+  cm_pri_ = st.elder() == slot_ + 1 ? 0 : cm_->priority(cm_token_, karma_);
   cm_cell_->priority.store(cm_pri_, std::memory_order_release);
   cm_cell_->attempts.store(attempt_, std::memory_order_relaxed);
   cm_cell_->stripes.store(0, std::memory_order_relaxed);
@@ -135,10 +133,6 @@ void Txn::cm_note_stripes(std::uint32_t n) noexcept {
 }
 
 void Txn::cm_check_doom() {
-  // The irrevocable fallback never yields: its priority is 0 so nobody
-  // should doom it, and a stale request must not unwind an attempt the
-  // gate guarantees will succeed.
-  if (gate_exempt_) return;
   const std::uint64_t d = cm_cell_->doom.load(std::memory_order_acquire);
   if (d == 0) [[likely]] return;
   cm_cell_->doom.store(0, std::memory_order_relaxed);
@@ -184,7 +178,7 @@ bool Txn::cm_lock_conflict(const Orec& orec) {
       return true;
     }
     const std::uint64_t d = cm_cell_->doom.load(std::memory_order_acquire);
-    if (d == cm_token_ && !gate_exempt_) {
+    if (d == cm_token_) {
       cm_cell_->doom.store(0, std::memory_order_relaxed);
       stats_.count_cm_wait_ns(now_ns() - t0);
       throw ConflictAbort{AbortReason::CmKilled};
@@ -196,7 +190,6 @@ bool Txn::cm_lock_conflict(const Orec& orec) {
 
 void Txn::cm_commit_entry() {
   cm_check_doom();
-  if (gate_exempt_) return;
   CmState& st = stm_.cm_state();
   const unsigned elder = st.elder();
   if (elder == 0 || elder == slot_ + 1) return;
@@ -698,9 +691,9 @@ void Txn::commit() {
          "EBR guard held across a transaction boundary");
 
   // Snapshot readers commit unconditionally: no locks were taken, no
-  // validation is owed (every read came from the pinned snapshot), and
-  // neither the contention manager nor the fallback gate applies — a
-  // snapshot reader holds nothing any writer can be waiting on.
+  // validation is owed (every read came from the pinned snapshot), and the
+  // contention manager does not apply — a snapshot reader holds nothing any
+  // writer can be waiting on.
   if (mvcc_reader_) [[unlikely]] {
     assert(arena_.writes.empty() && arena_.commit_locked_hooks.empty());
     assert(arena_.seq_reads.empty() && arena_.fence_reads.empty() &&
@@ -720,18 +713,6 @@ void Txn::commit() {
   if (wal_ != nullptr) [[unlikely]] wal_check_available();
 
   if (cm_cell_ != nullptr) [[unlikely]] cm_commit_entry();
-
-  // Fallback gate (when enabled): ordinary commits take the shared side
-  // with try-lock semantics; blocking here while holding encounter-time
-  // locks could deadlock against the exclusive (fallback) holder.
-  std::shared_lock<std::shared_mutex> gate_guard;
-  if (stm_.gate_enabled() && !gate_exempt_) {
-    gate_guard = std::shared_lock<std::shared_mutex>(stm_.gate(),
-                                                     std::try_to_lock);
-    if (!gate_guard.owns_lock()) {
-      throw ConflictAbort{AbortReason::FallbackGate};
-    }
-  }
 
   // Read-only (and hook-free) fast path: reads were validated incrementally,
   // no clock advance needed. Note an eager pessimistic *mutator* also lands

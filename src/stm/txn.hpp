@@ -69,8 +69,7 @@ class Txn {
   unsigned attempt() const noexcept { return attempt_; }
   /// Attempts aborted for a reason the retry policy may act on. Injected
   /// chaos aborts (AbortReason::ChaosInjected) are excluded, so fault-
-  /// injection runs can neither trip the irrevocable fallback nor promote a
-  /// transaction to elder spuriously.
+  /// injection runs cannot promote a transaction to elder spuriously.
   unsigned eligible_attempts() const noexcept { return eligible_attempts_; }
 
   /// Typed transactional accessors (the public read/write API).
@@ -115,10 +114,6 @@ class Txn {
   /// kept, and the attempt cannot abort on a conflict (StmOptions::mvcc).
   bool is_snapshot_reader() const noexcept { return mvcc_reader_; }
 
-  /// Set while this transaction holds the STM's exclusive fallback gate (it
-  /// must not also take the shared side at commit).
-  void set_gate_exempt(bool exempt) noexcept { gate_exempt_ = exempt; }
-
   // --- Optimistic read fast path (DESIGN.md §12) --------------------------
   // Wrappers call these through AbstractLock::try_read_unlocked: a read-only
   // operation traverses the base structure under its own synchronization
@@ -135,7 +130,7 @@ class Txn {
 
   /// May this attempt serve reads through the unlocked fast path at all?
   bool fast_read_eligible() const noexcept {
-    return optimistic_reads_ && !mvcc_reader_ && !gate_exempt_;
+    return optimistic_reads_ && !mvcc_reader_;
   }
 
   /// Admit an unlocked read observed while `*word` held the stable (even)
@@ -277,8 +272,7 @@ class Txn {
   /// Honor a pending abort request from a higher-priority transaction
   /// (throws ConflictAbort{CmKilled}). Wrapper layers (the LAPs) call this
   /// at their own long-wait points; the STM's internal paths poll in
-  /// txn.cpp. Never fires past the commit point or on the irrevocable
-  /// fallback attempt.
+  /// txn.cpp. Never fires past the commit point.
   void cm_poll() {
     if (cm_cell_ != nullptr) [[unlikely]] cm_check_doom();
   }
@@ -425,7 +419,6 @@ class Txn {
   std::uint64_t karma_ = 0;  // reads+writes across this call's aborted attempts
   bool active_ = false;
   bool snapshot_frozen_ = false;
-  bool gate_exempt_ = false;
   bool optimistic_reads_ = false;  // StmOptions::optimistic_reads, cached
   bool write_table_on_ = false;  // flat-table tier engaged this attempt
   std::uint64_t write_bloom_ = 0;

@@ -22,11 +22,9 @@ std::uint64_t now_ns() noexcept {
 
 std::string StallReport::to_string() const {
   std::ostringstream os;
-  os << (kind == Kind::StalledEpoch ? "stalled-epoch" : "gate-budget-overrun")
-     << " stalled_ns=" << stalled_ns << " commits=" << commits
+  os << "stalled-epoch stalled_ns=" << stalled_ns << " commits=" << commits
      << " starts=" << starts;
   if (chaos_seed != 0) os << " chaos_seed=" << chaos_seed;
-  if (gate_holder != ~0u) os << " gate_holder=" << gate_holder;
   if (boosted_slot != ~0u) os << " boosted=" << boosted_slot;
   for (const SlotInfo& s : active) {
     os << " [slot=" << s.slot << " attempts=" << s.attempts
@@ -64,33 +62,12 @@ void Watchdog::run() {
   std::uint64_t last_commits = stm_.stats().snapshot().commits;
   std::uint64_t last_starts = stm_.stats().snapshot().starts;
   std::uint64_t stable_since = now_ns();
-  // One report per distinct gate hold: remember the hold we last flagged.
-  std::uint64_t reported_gate_t0 = 0;
 
   while (!stop_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(cfg_.poll);
     const std::uint64_t now = now_ns();
     const StatsSnapshot snap = stm_.stats().snapshot();
 
-    // --- Fallback-gate budget -------------------------------------------
-    const auto budget = stm_.options().fallback_budget;
-    const std::uint64_t gate_t0 = stm_.gate_entered_ns();
-    if (budget.count() > 0 && gate_t0 != 0 && gate_t0 != reported_gate_t0 &&
-        now > gate_t0 &&
-        now - gate_t0 > static_cast<std::uint64_t>(budget.count())) {
-      reported_gate_t0 = gate_t0;
-      budget_overruns_.fetch_add(1, std::memory_order_acq_rel);
-      StallReport r;
-      r.kind = StallReport::Kind::GateBudgetOverrun;
-      r.stalled_ns = now - gate_t0;
-      r.commits = snap.commits;
-      r.starts = snap.starts;
-      r.gate_holder = stm_.gate_holder();
-      if (const ChaosPolicy* c = stm_.options().chaos) r.chaos_seed = c->seed();
-      deliver(r);
-    }
-
-    // --- Commit-epoch advance -------------------------------------------
     if (snap.commits != last_commits) {
       last_commits = snap.commits;
       last_starts = snap.starts;
@@ -121,8 +98,7 @@ void Watchdog::run() {
         oldest_slot = i;
       }
     }
-    const bool working =
-        !r.active.empty() || snap.starts != last_starts || gate_t0 != 0;
+    const bool working = !r.active.empty() || snap.starts != last_starts;
     last_starts = snap.starts;
     if (!working) {
       stable_since = now;  // genuinely idle, not stalled
@@ -134,11 +110,9 @@ void Watchdog::run() {
     }
 
     stalls_.fetch_add(1, std::memory_order_acq_rel);
-    r.kind = StallReport::Kind::StalledEpoch;
     r.stalled_ns = now - stable_since;
     r.commits = snap.commits;
     r.starts = snap.starts;
-    if (gate_t0 != 0) r.gate_holder = stm_.gate_holder();
     if (const ChaosPolicy* c = stm_.options().chaos) r.chaos_seed = c->seed();
     // Escalate: crown the oldest active call as the elder. Committers then
     // defer to it and lock waiters shed — the priority policies' own

@@ -1,24 +1,17 @@
 // Progress watchdog: an optional sentinel thread that watches one Stm for a
 // commit epoch that stops advancing while transactions are still active —
-// the observable signature of livelock, a wedged irrevocable fallback, or a
-// user transaction stuck inside its body. Detection is entirely passive
+// the observable signature of livelock or of a user transaction stuck inside
+// its body. Detection is entirely passive
 // (periodic stats snapshots plus reads of the contention-management slot
 // table); nothing on the transaction hot path knows the watchdog exists.
 //
 // On a stall the watchdog assembles a StallReport — per-slot diagnostics
-// (attempt counts, held abstract-lock stripes, call age), the fallback-gate
-// holder if any, and the chaos seed when fault injection is active so the
-// hang is replayable — and delivers it to StmOptions::on_stall (stderr when
+// (attempt counts, held abstract-lock stripes, call age) and the chaos seed
+// when fault injection is active so the hang is replayable — and delivers it to StmOptions::on_stall (stderr when
 // unset). It then escalates by crowning the *oldest* active transaction as
 // the contention manager's elder (CmState::force_elder): committers defer
 // to it and lock waiters shed, the same starvation-recovery protocol the
-// priority policies use, applied by force before the stop-the-world gate
-// would ever be needed.
-//
-// The same reporting channel covers the irrevocable-fallback budget
-// (StmOptions::fallback_budget): a gate hold that overruns its budget is
-// reported while still in flight, which is what makes a wedged fallback
-// transaction diagnosable rather than silent.
+// priority policies use, applied by force.
 #pragma once
 
 #include <atomic>
@@ -32,14 +25,10 @@
 
 namespace proust::stm {
 
-/// What the watchdog saw when it decided to speak up. Delivered on the
-/// watchdog thread; handlers must not run transactions on the watched Stm.
+/// What the watchdog saw when commits stopped advancing while work was
+/// active. Delivered on the watchdog thread; handlers must not run
+/// transactions on the watched Stm.
 struct StallReport {
-  enum class Kind : std::uint8_t {
-    StalledEpoch,       // commits stopped advancing while work is active
-    GateBudgetOverrun,  // an irrevocable fallback exceeded fallback_budget
-  };
-
   struct SlotInfo {
     unsigned slot = 0;
     std::uint32_t attempts = 0;  // attempts of the slot's current call
@@ -48,12 +37,10 @@ struct StallReport {
     std::uint64_t priority = 0;  // published priority (lower = stronger)
   };
 
-  Kind kind = Kind::StalledEpoch;
-  std::uint64_t stalled_ns = 0;  // stall duration / gate hold so far
+  std::uint64_t stalled_ns = 0;  // stall duration so far
   std::uint64_t commits = 0;     // committed attempts at detection time
   std::uint64_t starts = 0;      // begun attempts at detection time
   std::uint64_t chaos_seed = 0;  // replay seed; 0 = no chaos policy active
-  unsigned gate_holder = ~0u;    // slot holding the fallback gate, or ~0u
   unsigned boosted_slot = ~0u;   // slot escalated to elder, or ~0u
   std::vector<SlotInfo> active;  // active slots (tracking CM only)
 
@@ -92,9 +79,6 @@ class Watchdog {
   std::uint64_t escalations() const noexcept {
     return escalations_.load(std::memory_order_acquire);
   }
-  std::uint64_t budget_overruns() const noexcept {
-    return budget_overruns_.load(std::memory_order_acquire);
-  }
 
  private:
   void run();
@@ -105,7 +89,6 @@ class Watchdog {
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> stalls_{0};
   std::atomic<std::uint64_t> escalations_{0};
-  std::atomic<std::uint64_t> budget_overruns_{0};
   std::thread thread_;
 };
 

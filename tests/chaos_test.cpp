@@ -179,31 +179,6 @@ TEST_P(ChaosMapTest, AggressiveInjectionStillConverges) {
   EXPECT_GT(policy.injected_total(), 0u);
 }
 
-TEST_P(ChaosMapTest, InjectionComposesWithFallbackGate) {
-  // The irrevocable fallback (StmOptions::fallback_after) re-runs a starving
-  // transaction under the STM's exclusive commit gate. Chaos can still abort
-  // that gated attempt; the retry loop must release and re-take the gate
-  // without wedging or leaking.
-  const MapConfig& cfg = std::get<0>(GetParam());
-  const std::uint64_t seed = base_seed() + 143 + std::get<1>(GetParam());
-  SCOPED_TRACE("chaos seed " + std::to_string(seed) + " (config " + cfg.name +
-               ")");
-
-  stm::ChaosPolicy policy(stm::ChaosConfig::aggressive(seed));
-  policy.install_lock_hook();
-  stm::StmOptions opts;
-  opts.chaos = &policy;
-  opts.fallback_after = 3;
-  auto map = cfg.make_with(opts);
-
-  const long kKeys = 16;
-  const auto reference = run_differential(*map, seed, 4, 80, kKeys);
-
-  policy.remove_lock_hook();
-  expect_map_equals(*map, reference, kKeys);
-  EXPECT_EQ(policy.leaks(), 0u);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ChaosMapTest,
     ::testing::Combine(::testing::ValuesIn(opaque_map_configs()),

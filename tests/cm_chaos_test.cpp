@@ -4,9 +4,9 @@
 // streams — so fault-injected runs stay reproducible under every policy, and
 // a single-threaded run must replay bit-exactly regardless of which CM is
 // active. The multi-threaded sweep drives the full arbitration surface
-// (dooming, bounded waits, elder recovery, the fallback gate, admission
-// throttling) under injected aborts/delays/timeouts and checks the committed
-// state against a mutex-guarded reference.
+// (dooming, bounded waits, elder recovery) under injected aborts/delays/
+// timeouts and checks the committed state against a mutex-guarded
+// reference.
 //
 // Reproduce a failure with PROUST_CHAOS_SEED=<printed seed>, as in
 // tests/chaos_test.cpp.
@@ -141,9 +141,8 @@ TEST_P(CmChaosMatrixTest, DifferentialUnderInjection) {
   stm::StmOptions opts;
   opts.cm_policy = policy;
   opts.clock_scheme = scheme;
-  // Small threshold so the gate × CM × elder interplay is exercised too
-  // (injected ChaosInjected aborts stay exempt from it).
-  opts.fallback_after = 6;
+  // Small threshold so the CM × elder interplay is exercised too (injected
+  // ChaosInjected aborts stay exempt from it).
   opts.cm_elder_after = 4;
   opts.lap_timeout = std::chrono::milliseconds(1);
 
@@ -182,40 +181,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(stm::to_string(std::get<0>(info.param))) + "_" +
              stm::to_string(std::get<1>(info.param));
     });
-
-TEST(CmChaosAdmissionTest, ThrottledSweepStaysExact) {
-  // Admission control sheds parallelism under the injected abort storm; the
-  // committed state must stay exact and the throttle counters must show the
-  // controller actually engaged (it adapts, so only the wait *counters* are
-  // asserted, not a specific limit).
-  const std::uint64_t seed = base_seed() + 271;
-  SCOPED_TRACE("chaos seed " + std::to_string(seed));
-
-  stm::ChaosPolicy chaos(stm::ChaosConfig::aggressive(seed));
-  chaos.install_lock_hook();
-  stm::StmOptions opts;
-  opts.chaos = &chaos;
-  opts.cm_policy = stm::CmPolicy::TimestampAging;
-  opts.clock_scheme = stm::ClockScheme::LazyBump;
-  opts.admission_control = true;
-  opts.admission_window = 64;
-  opts.admission_min_tokens = 1;
-  opts.admission_max_tokens = 2;  // 4 threads over 2 tokens: must throttle
-  opts.lap_timeout = std::chrono::milliseconds(1);
-  auto map = config_named("lazy_memo_lazystm").make_with(opts);
-  map->stm().cm().install_lock_arbiter();
-
-  const long kKeys = 16;
-  const auto reference = run_differential(*map, seed, 4, 80, kKeys);
-
-  map->stm().cm().remove_lock_arbiter();
-  chaos.remove_lock_hook();
-  expect_map_equals(*map, reference, kKeys);
-  EXPECT_EQ(chaos.leaks(), 0u);
-  const stm::StatsSnapshot s = map->stats();
-  EXPECT_GE(s.throttle_waits, 1u);
-  EXPECT_GT(s.throttle_ns, 0u);
-}
 
 TEST(CmChaosDeterminismTest, CmPolicyLeavesDecisionStreamsUntouched) {
   // The determinism contract: switching the contention manager must not

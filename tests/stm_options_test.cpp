@@ -1,8 +1,7 @@
-// Tests for the STM policy knobs: contention-management policies and the
-// irrevocable fallback gate.
+// Tests for the STM policy knobs: the trivial contention-management policies
+// keep a contended counter exact.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <barrier>
 #include <thread>
 #include <vector>
@@ -45,100 +44,7 @@ TEST_P(CmPolicyTest, ContendedCountersStayExact) {
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, CmPolicyTest,
                          ::testing::Values(CmPolicy::ExponentialBackoff,
-                                           CmPolicy::Yield, CmPolicy::None),
+                                           CmPolicy::None),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });
-
-TEST(FallbackGate, DisabledByDefaultCostsNothing) {
-  Stm stm(Mode::Lazy);
-  EXPECT_FALSE(stm.gate_enabled());
-  Var<long> v(0);
-  stm.atomically([&](Txn& tx) { tx.write(v, 1); });
-  EXPECT_EQ(v.unsafe_ref(), 1);
-}
-
-TEST(FallbackGate, FallbackAttemptCommits) {
-  StmOptions opts;
-  opts.fallback_after = 2;
-  Stm stm(Mode::Lazy, opts);
-  Var<long> v(0);
-  int attempts = 0;
-  stm.atomically([&](Txn& tx) {
-    ++attempts;
-    tx.write(v, attempts);
-    if (attempts < 4) tx.retry();  // attempts 3+ run under the gate
-  });
-  EXPECT_EQ(attempts, 4);
-  EXPECT_EQ(v.unsafe_ref(), 4);
-}
-
-TEST(FallbackGate, OrdinaryCommitsResumeAfterFallback) {
-  StmOptions opts;
-  opts.fallback_after = 1;
-  Stm stm(Mode::Lazy, opts);
-  Var<long> v(0);
-  // Force one fallback...
-  int attempts = 0;
-  stm.atomically([&](Txn& tx) {
-    ++attempts;
-    tx.write(v, 10);
-    if (attempts == 1) tx.retry();
-  });
-  // ...then ordinary transactions proceed normally.
-  stm.atomically([&](Txn& tx) { tx.write(v, tx.read(v) + 1); });
-  EXPECT_EQ(v.unsafe_ref(), 11);
-}
-
-TEST(FallbackGate, CorrectUnderConcurrencyWithAggressiveFallback) {
-  StmOptions opts;
-  opts.fallback_after = 1;  // second attempt of anything goes irrevocable
-  opts.cm_policy = CmPolicy::None;  // maximize contention
-  Stm stm(Mode::EagerWrite, opts);
-  Var<long> counter(0);
-  run_threads(kThreads, [&](int) {
-    for (int i = 0; i < 1500; ++i) {
-      stm.atomically([&](Txn& tx) { tx.write(counter, tx.read(counter) + 1); });
-    }
-  });
-  EXPECT_EQ(counter.unsafe_ref(), long{kThreads} * 1500);
-}
-
-TEST(FallbackGate, GateBusyAbortsAreCounted) {
-  // Deterministic: hold the gate exclusively from one transaction (via its
-  // fallback attempt blocking on a stage), and watch an ordinary commit
-  // yield with a FallbackGate abort.
-  StmOptions opts;
-  opts.fallback_after = 1;
-  Stm stm(Mode::Lazy, opts);
-  Var<long> a(0), b(0);
-  std::atomic<int> stage{0};
-
-  std::thread fallback_thread([&] {
-    int attempts = 0;
-    stm.atomically([&](Txn& tx) {
-      ++attempts;
-      if (attempts == 1) tx.retry();  // go irrevocable on attempt 2
-      stage.store(1);
-      while (stage.load() < 2) std::this_thread::yield();
-      tx.write(a, 1);
-    });
-  });
-
-  while (stage.load() < 1) std::this_thread::yield();
-  // An ordinary transaction must abort at the gate at least once, then
-  // succeed after the fallback finishes.
-  std::thread ordinary([&] {
-    stm.atomically([&](Txn& tx) { tx.write(b, 1); });
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  stage.store(2);
-  fallback_thread.join();
-  ordinary.join();
-
-  EXPECT_EQ(a.unsafe_ref(), 1);
-  EXPECT_EQ(b.unsafe_ref(), 1);
-  EXPECT_GE(stm.stats().snapshot().aborts[static_cast<std::size_t>(
-                AbortReason::FallbackGate)],
-            1u);
-}
