@@ -69,10 +69,7 @@ template <class A>
 void run_row(Table& table, A& a, RunConfig cfg) {
   prefill_half(a, cfg.key_range);
   const RunResult r = run_map_throughput(a, cfg);
-  const double abort_pct =
-      r.starts ? 100.0 * static_cast<double>(r.aborts) /
-                     static_cast<double>(r.starts)
-               : 0;
+  const double abort_pct = 100.0 * r.stats.abort_ratio();
   table.row({a.name(), std::to_string(cfg.ops_per_txn),
              std::to_string(cfg.key_range), Table::fmt(r.mean_ms, 1),
              Table::fmt(r.sd_ms, 1), Table::fmt(abort_pct, 1)});

@@ -18,10 +18,7 @@ void run_row(Table& table, const std::string& impl, stm::Mode mode,
              Adapter& a, RunConfig cfg) {
   prefill_half(a, cfg.key_range);
   const RunResult r = run_map_throughput(a, cfg);
-  const double abort_pct =
-      r.starts ? 100.0 * static_cast<double>(r.aborts) /
-                     static_cast<double>(r.starts)
-               : 0;
+  const double abort_pct = 100.0 * r.stats.abort_ratio();
   table.row({impl, stm::to_string(mode), Table::fmt(r.mean_ms, 1),
              Table::fmt(r.sd_ms, 1), Table::fmt(abort_pct, 1)});
 }

@@ -56,10 +56,7 @@ int main(int argc, char** argv) {
             LazyMemoAdapter a(mode, ca_slots, combine);
             prefill_half(a, cfg.key_range);
             const RunResult r = run_map_throughput(a, cfg);
-            const double abort_pct =
-                r.starts == 0 ? 0.0
-                              : 100.0 * static_cast<double>(r.aborts) /
-                                    static_cast<double>(r.starts);
+            const double abort_pct = 100.0 * r.stats.abort_ratio();
             table.row({a.name(), Table::fmt(u, 2), std::to_string(o),
                        std::to_string(t), std::to_string(kr),
                        Table::fmt(r.mean_ms, 1), Table::fmt(r.sd_ms, 1),

@@ -14,16 +14,19 @@
 //                      override with --mt-threads=) of write workloads under
 //                      every global-clock scheme, which is what captures
 //                      commit-path scaling rather than just constant factors.
+//                      Multi-thread cells report the fastest of three
+//                      per-worker-clocked runs after a warm-up run
+//                      (bench::run_ops_timed).
 #include <benchmark/benchmark.h>
 
-#include <barrier>
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "bench_util/cli.hpp"
+#include "bench_util/harness.hpp"
 #include "bench_util/json.hpp"
 #include "bench_util/table.hpp"
 #include "core/lap.hpp"
@@ -178,29 +181,18 @@ Cell run_cell(stm::Stm& stm, const char* workload, long txns) {
 
 // --- Multi-thread sweep ------------------------------------------------------
 
-/// Split `total_txns` across `threads` workers, release them through a
-/// barrier, and time the whole batch. `per_thread(t, my_txns)` runs on its
-/// own thread. Returns elapsed seconds.
-template <class PerThread>
-double timed_mt(int threads, long total_txns, PerThread&& per_thread) {
-  std::barrier sync(threads + 1);
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    const long my_txns =
-        total_txns / threads + (t < total_txns % threads ? 1 : 0);
-    workers.emplace_back([&, t, my_txns] {
-      sync.arrive_and_wait();
-      per_thread(t, my_txns);
-      sync.arrive_and_wait();
-    });
-  }
-  sync.arrive_and_wait();
-  const auto start = std::chrono::steady_clock::now();
-  sync.arrive_and_wait();
-  const auto stop = std::chrono::steady_clock::now();
-  for (auto& w : workers) w.join();
-  return std::chrono::duration<double>(stop - start).count();
+/// Runs `body(t, rng)` as one transaction on each of `threads` workers,
+/// `total_txns` split evenly, through the shared per-worker-clocked harness:
+/// one warm-up run, then the STM stats are reset and three timed runs
+/// follow. Returns accesses per second of the fastest timed run.
+template <class Body>
+double mt_ops_per_sec(stm::Stm& stm, int threads, long total_txns,
+                      int ops_per_txn, std::uint64_t seed, Body&& body) {
+  const long iters = std::max(1L, total_txns / threads);
+  const bench::TimedRuns runs = bench::run_ops_timed(
+      threads, iters, /*warmup_runs=*/1, /*timed_runs=*/3, seed, {}, body,
+      [&] { stm.stats().reset(); });
+  return runs.ops_per_sec(iters * threads * ops_per_txn, /*use_min=*/true);
 }
 
 struct MtSpec {
@@ -232,7 +224,8 @@ bench::JsonRecord run_mt_cell(const MtSpec& spec, stm::ClockScheme scheme,
   for (auto& v : mine) v = std::vector<stm::Var<long>>(8);
   stm::Var<long> counter(0);
 
-  auto body = [&](int t, long i) {
+  auto body = [&](int t, Xoshiro256& rng) {
+    const long i = static_cast<long>(rng());
     if (std::string_view(spec.workload) == "mt_write_heavy") {
       stm.atomically([&](stm::Txn& tx) {
         for (auto& v : shared) tx.write(v, i);
@@ -247,14 +240,8 @@ bench::JsonRecord run_mt_cell(const MtSpec& spec, stm::ClockScheme scheme,
     }
   };
 
-  const long warmup = spec.total_txns / 10 + 1;
-  timed_mt(threads, warmup, [&](int t, long n) {
-    for (long i = 0; i < n; ++i) body(t, i);
-  });
-  stm.stats().reset();
-  const double sec = timed_mt(threads, spec.total_txns, [&](int t, long n) {
-    for (long i = 0; i < n; ++i) body(t, i);
-  });
+  const double ops_s = mt_ops_per_sec(stm, threads, spec.total_txns,
+                                      spec.ops_per_txn, /*seed=*/1, body);
   const stm::StatsSnapshot s = stm.stats().snapshot();
 
   bench::JsonRecord rec{
@@ -264,8 +251,7 @@ bench::JsonRecord run_mt_cell(const MtSpec& spec, stm::ClockScheme scheme,
       threads,
       spec.ops_per_txn,
       std::string_view(spec.workload) == "mt_counter" ? 0.5 : 1.0,
-      sec <= 0 ? 0.0
-               : static_cast<double>(spec.total_txns) * spec.ops_per_txn / sec,
+      ops_s,
       s.abort_ratio()};
   rec.scheme = stm::to_string(scheme);
   rec.with_stats(s);
@@ -294,16 +280,9 @@ bench::JsonRecord run_ro_cell(const char* cfg_name, bool mvcc,
   constexpr int kVars = 64;
   constexpr int kTouched = 8;
   std::vector<stm::Var<long>> vars(kVars);
-  std::vector<Xoshiro256> rngs;
-  rngs.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    rngs.emplace_back(0x9E3779B9 + static_cast<std::uint64_t>(t) * 1771875 +
-                      static_cast<std::uint64_t>(update_pct));
-  }
   std::vector<long> sinks(static_cast<std::size_t>(threads), 0);
 
-  auto body = [&](int t, long) {
-    auto& rng = rngs[static_cast<std::size_t>(t)];
+  auto body = [&](int t, Xoshiro256& rng) {
     if (static_cast<int>(rng.below(100)) < update_pct) {
       stm.atomically([&](stm::Txn& tx) {
         for (int j = 0; j < kTouched; ++j) {
@@ -322,14 +301,9 @@ bench::JsonRecord run_ro_cell(const char* cfg_name, bool mvcc,
         mvcc ? stm.atomically_ro(reader) : stm.atomically(reader);
   };
 
-  const long warmup = total_txns / 10 + 1;
-  timed_mt(threads, warmup, [&](int t, long n) {
-    for (long i = 0; i < n; ++i) body(t, i);
-  });
-  stm.stats().reset();
-  const double sec = timed_mt(threads, total_txns, [&](int t, long n) {
-    for (long i = 0; i < n; ++i) body(t, i);
-  });
+  const double ops_s =
+      mt_ops_per_sec(stm, threads, total_txns, kTouched,
+                     /*seed=*/static_cast<std::uint64_t>(update_pct) + 1, body);
   if (sinks[0] == 0x5EED) std::printf("#");  // defeat dead-code elimination
   const stm::StatsSnapshot s = stm.stats().snapshot();
 
@@ -339,9 +313,7 @@ bench::JsonRecord run_ro_cell(const char* cfg_name, bool mvcc,
                         threads,
                         kTouched,
                         static_cast<double>(update_pct) / 100.0,
-                        sec <= 0 ? 0.0
-                                 : static_cast<double>(total_txns) * kTouched /
-                                       sec,
+                        ops_s,
                         s.abort_ratio()};
   rec.scheme = stm::to_string(scheme);
   rec.extra = update_pct;

@@ -40,12 +40,13 @@ int main(int argc, char** argv) {
       PessimisticAdapter a(stm::Mode::Lazy, 1024);
       prefill_half(a, cfg.key_range);
       const RunResult r = run_map_throughput(a, cfg);
+      const std::uint64_t aborts = r.stats.total_aborts();
       const double per_txn =
-          r.commits ? static_cast<double>(r.aborts) /
-                          static_cast<double>(r.commits)
-                    : 0;
+          r.stats.commits ? static_cast<double>(aborts) /
+                                static_cast<double>(r.stats.commits)
+                          : 0;
       table.row({"proust-pess", std::to_string(o), std::to_string(t),
-                 Table::fmt(r.mean_ms, 1), std::to_string(r.aborts),
+                 Table::fmt(r.mean_ms, 1), std::to_string(aborts),
                  Table::fmt(per_txn, 2)});
     }
     std::printf("\n");
@@ -61,12 +62,13 @@ int main(int argc, char** argv) {
       EagerOptAdapter a(stm::Mode::Lazy, 1024);
       prefill_half(a, cfg.key_range);
       const RunResult r = run_map_throughput(a, cfg);
+      const std::uint64_t aborts = r.stats.total_aborts();
       const double per_txn =
-          r.commits ? static_cast<double>(r.aborts) /
-                          static_cast<double>(r.commits)
-                    : 0;
+          r.stats.commits ? static_cast<double>(aborts) /
+                                static_cast<double>(r.stats.commits)
+                          : 0;
       table2.row({"proust-eager", std::to_string(o), std::to_string(t),
-                  Table::fmt(r.mean_ms, 1), std::to_string(r.aborts),
+                  Table::fmt(r.mean_ms, 1), std::to_string(aborts),
                   Table::fmt(per_txn, 2)});
     }
   }

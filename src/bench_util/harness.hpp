@@ -40,10 +40,7 @@ struct RunResult {
   double mean_ms = 0;
   double sd_ms = 0;
   double min_ms = 0;  // fastest timed run — robust to CPU-steal noise
-  std::uint64_t starts = 0;  // transaction attempts during timed runs
-  std::uint64_t commits = 0;
-  std::uint64_t aborts = 0;
-  stm::StatsSnapshot stats;  // full breakdown (aborts by reason, extensions)
+  stm::StatsSnapshot stats;  // STM counters over the timed runs
 
   /// Completed operations per second for one timed run of `total_ops`.
   double ops_per_sec(long total_ops) const noexcept {
@@ -59,11 +56,7 @@ struct RunResult {
                        : static_cast<double>(total_ops) / (min_ms / 1000.0);
   }
   /// Aborted attempts as a fraction of started attempts.
-  double abort_ratio() const noexcept {
-    return starts == 0 ? 0.0
-                       : static_cast<double>(aborts) /
-                             static_cast<double>(starts);
-  }
+  double abort_ratio() const noexcept { return stats.abort_ratio(); }
 };
 
 namespace detail {
@@ -140,43 +133,6 @@ void prefill_half(Adapter& adapter, long key_range) {
   for (long k = 0; k < key_range; k += 2) adapter.prefill(k, k);
 }
 
-namespace detail {
-template <class Adapter>
-RunResult reduce_runs(Adapter& adapter, const std::vector<double>& times) {
-  RunResult r;
-  double sum = 0;
-  r.min_ms = times.front();
-  for (double t : times) {
-    sum += t;
-    if (t < r.min_ms) r.min_ms = t;
-  }
-  r.mean_ms = sum / times.size();
-  double var = 0;
-  for (double t : times) var += (t - r.mean_ms) * (t - r.mean_ms);
-  r.sd_ms = times.size() > 1 ? std::sqrt(var / (times.size() - 1)) : 0.0;
-  const stm::StatsSnapshot s = adapter.stats();
-  r.starts = s.starts;
-  r.commits = s.commits;
-  r.aborts = s.total_aborts();
-  r.stats = s;
-  return r;
-}
-}  // namespace detail
-
-template <class Adapter>
-RunResult run_map_throughput(Adapter& adapter, const RunConfig& cfg) {
-  for (int i = 0; i < cfg.warmup_runs; ++i) {
-    detail::one_run(adapter, cfg, cfg.seed + 1000 + i);
-  }
-  adapter.reset_stats();
-  std::vector<double> times;
-  times.reserve(cfg.timed_runs);
-  for (int i = 0; i < cfg.timed_runs; ++i) {
-    times.push_back(detail::one_run(adapter, cfg, cfg.seed + i));
-  }
-  return detail::reduce_runs(adapter, times);
-}
-
 /// Run durations only — for benches whose stats come from elsewhere (or
 /// nowhere, like lock-based baselines).
 struct TimedRuns {
@@ -206,6 +162,12 @@ inline TimedRuns reduce_times(const std::vector<double>& times) {
                 ? std::sqrt(var / static_cast<double>(times.size() - 1))
                 : 0.0;
   return r;
+}
+
+template <class Adapter>
+RunResult reduce_runs(Adapter& adapter, const std::vector<double>& times) {
+  const TimedRuns t = reduce_times(times);
+  return RunResult{t.mean_ms, t.sd_ms, t.min_ms, adapter.stats()};
 }
 
 /// Per-worker-clocked single run of an arbitrary operation stream: worker t
@@ -247,6 +209,20 @@ double one_ops_run(int threads, long iters, std::uint64_t seed,
   return std::chrono::duration<double, std::milli>(last - first).count();
 }
 }  // namespace detail
+
+template <class Adapter>
+RunResult run_map_throughput(Adapter& adapter, const RunConfig& cfg) {
+  for (int i = 0; i < cfg.warmup_runs; ++i) {
+    detail::one_run(adapter, cfg, cfg.seed + 1000 + i);
+  }
+  adapter.reset_stats();
+  std::vector<double> times;
+  times.reserve(cfg.timed_runs);
+  for (int i = 0; i < cfg.timed_runs; ++i) {
+    times.push_back(detail::one_run(adapter, cfg, cfg.seed + i));
+  }
+  return detail::reduce_runs(adapter, times);
+}
 
 /// Warm up, then time `timed_runs` executions of `iters` ops on each of
 /// `threads` workers (per-worker clocks). `op(t, rng)` performs one

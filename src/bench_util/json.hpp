@@ -27,9 +27,9 @@ struct JsonRecord {
   long extra = -1;     // auxiliary swept knob (e.g. striping size M); < 0 = none
   std::string pin;     // pinning policy of the cell, or "" when not swept
 
-  /// Optional attempt-level breakdown (starts/commits/extensions and aborts
-  /// by reason) so scheme/mode ablations are diagnosable from the JSON, not
-  /// just a throughput number. Call with a StatsSnapshot to attach it.
+  /// Optional STM counter breakdown (StatsSnapshot::to_json: starts,
+  /// commits, aborts by reason, ...) so scheme/mode ablations are
+  /// diagnosable from the JSON, not just a throughput number.
   JsonRecord& with_stats(const stm::StatsSnapshot& s) {
     stats = s;
     has_stats = true;
@@ -81,58 +81,7 @@ class JsonWriter {
                      "\"smt\": %s}",
                      t.cpu_count(), t.node_count, t.smt ? "true" : "false");
       }
-      if (r.has_stats) {
-        std::fprintf(f,
-                     ", \"starts\": %llu, \"commits\": %llu, "
-                     "\"extensions\": %llu, \"aborts\": {",
-                     static_cast<unsigned long long>(r.stats.starts),
-                     static_cast<unsigned long long>(r.stats.commits),
-                     static_cast<unsigned long long>(r.stats.extensions));
-        bool first = true;
-        for (std::size_t j = 0; j < r.stats.aborts.size(); ++j) {
-          if (r.stats.aborts[j] == 0) continue;
-          std::fprintf(f, "%s\"%s\": %llu", first ? "" : ", ",
-                       stm::to_string(static_cast<stm::AbortReason>(j)),
-                       static_cast<unsigned long long>(r.stats.aborts[j]));
-          first = false;
-        }
-        std::fprintf(f, "}");
-        if (r.stats.total_calls() > 0) {
-          std::fprintf(
-              f, ", \"attempts\": {\"p50\": %llu, \"p99\": %llu, \"max\": %llu}",
-              static_cast<unsigned long long>(r.stats.attempts_percentile(0.5)),
-              static_cast<unsigned long long>(
-                  r.stats.attempts_percentile(0.99)),
-              static_cast<unsigned long long>(r.stats.max_attempts));
-        }
-        if (r.stats.backoff_ns + r.stats.cm_wait_ns > 0) {
-          std::fprintf(f, ", \"wait_ns\": {\"backoff\": %llu, \"cm\": %llu}",
-                       static_cast<unsigned long long>(r.stats.backoff_ns),
-                       static_cast<unsigned long long>(r.stats.cm_wait_ns));
-        }
-        if (r.stats.ro_commits + r.stats.mvcc_pushed > 0) {
-          std::fprintf(
-              f,
-              ", \"mvcc\": {\"ro_commits\": %llu, \"pushed\": %llu, "
-              "\"reclaimed\": %llu, \"chain_max\": %llu}",
-              static_cast<unsigned long long>(r.stats.ro_commits),
-              static_cast<unsigned long long>(r.stats.mvcc_pushed),
-              static_cast<unsigned long long>(r.stats.mvcc_reclaimed),
-              static_cast<unsigned long long>(r.stats.mvcc_chain_max));
-        }
-        if (r.stats.total_injected() > 0) {
-          std::fprintf(f, ", \"injected\": {");
-          bool ifirst = true;
-          for (std::size_t j = 0; j < r.stats.injected.size(); ++j) {
-            if (r.stats.injected[j] == 0) continue;
-            std::fprintf(f, "%s\"%s\": %llu", ifirst ? "" : ", ",
-                         stm::to_string(static_cast<stm::ChaosPoint>(j)),
-                         static_cast<unsigned long long>(r.stats.injected[j]));
-            ifirst = false;
-          }
-          std::fprintf(f, "}");
-        }
-      }
+      if (r.has_stats) std::fprintf(f, ", %s", r.stats.to_json().c_str());
       std::fprintf(f, "}");
     }
     std::fprintf(f, "\n  ]\n}\n");

@@ -75,6 +75,9 @@ enum class AbortReason : std::uint8_t {
   kCount,
 };
 
+inline constexpr std::size_t kNumAbortReasons =
+    static_cast<std::size_t>(AbortReason::kCount);
+
 constexpr const char* to_string(AbortReason r) noexcept {
   switch (r) {
     case AbortReason::None: return "none";

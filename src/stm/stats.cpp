@@ -50,97 +50,132 @@ std::uint64_t StatsSnapshot::attempts_percentile(double p) const noexcept {
   return max_attempts;
 }
 
+namespace {
+
+struct GroupName {
+  StatGroup group;
+  const char* text;  // empty: the group prints bare
+  const char* json;
+};
+#define PROUST_STATS_GROUP_NAME(group, text, json) \
+  {StatGroup::group, text, json},
+constexpr GroupName kGroups[] = {
+    PROUST_STM_STAT_GROUPS(PROUST_STATS_GROUP_NAME)};
+#undef PROUST_STATS_GROUP_NAME
+
+bool any_nonzero(const StatsSnapshot& s, StatGroup g) {
+  for (const StatField& f : kStatFields) {
+    if (f.group == g && s.*f.member != 0) return true;
+  }
+  return false;
+}
+
+// The group's fields as `key=value<unit> ...` (text) or `"key": value, ...`
+// (JSON), with a separator before the first unless `first`.
+void put_fields(std::ostream& os, const StatsSnapshot& s, StatGroup g,
+                bool json, bool first) {
+  for (const StatField& f : kStatFields) {
+    if (f.group != g) continue;
+    if (!first) os << (json ? ", " : " ");
+    first = false;
+    if (json) {
+      os << '"' << f.key << "\": " << s.*f.member;
+    } else {
+      os << f.key << '=' << s.*f.member << f.unit;
+    }
+  }
+}
+
+// Nonzero entries of an enum-indexed array, named by the enum's to_string.
+template <class E, std::size_t N>
+void put_entries(std::ostream& os, const std::array<std::uint64_t, N>& a,
+                 bool json) {
+  const char* sep = "";
+  for (std::size_t i = 0; i < N; ++i) {
+    if (a[i] == 0) continue;
+    const char* name = proust::stm::to_string(static_cast<E>(i));
+    os << sep;
+    sep = ", ";
+    if (json) {
+      os << '"' << name << "\": " << a[i];
+    } else {
+      os << name << '=' << a[i];
+    }
+  }
+}
+
+}  // namespace
+
 std::string StatsSnapshot::to_string() const {
   std::ostringstream os;
-  os << "starts=" << starts << " commits=" << commits
-     << " aborts=" << total_aborts() << " reads=" << reads
-     << " writes=" << writes << " extensions=" << extensions;
-  if (total_calls() > 0) {
-    os << " attempts{p50=" << attempts_percentile(0.50)
-       << " p99=" << attempts_percentile(0.99) << " max=" << max_attempts
-       << "}";
-  }
-  if (backoff_ns + cm_wait_ns > 0) {
-    os << " wait{backoff=" << backoff_ns << "ns cm=" << cm_wait_ns << "ns}";
-  }
-  if (ro_commits + mvcc_pushed > 0) {
-    os << " mvcc{ro_commits=" << ro_commits << " pushed=" << mvcc_pushed
-       << " reclaimed=" << mvcc_reclaimed << " chain_max=" << mvcc_chain_max
-       << "}";
-  }
-  if (fastpath_hits + fastpath_fallbacks > 0) {
-    os << " fastpath{hits=" << fastpath_hits
-       << " fallbacks=" << fastpath_fallbacks << "}";
-  }
-  if (wal_publishes + wal_refused > 0) {
-    os << " wal{publishes=" << wal_publishes << " records=" << wal_records
-       << " bytes=" << wal_bytes << " strict_waits=" << wal_strict_waits
-       << " wait=" << wal_wait_ns << "ns refused=" << wal_refused << "}";
+  put_fields(os, *this, StatGroup::Txn, false, true);
+  os << " aborts=" << total_aborts();
+  put_fields(os, *this, StatGroup::Access, false, false);
+  for (const GroupName& g : kGroups) {
+    if (*g.text == '\0' || !any_nonzero(*this, g.group)) continue;
+    os << ' ' << g.text << '{';
+    const bool attempts = g.group == StatGroup::Attempts;
+    if (attempts) {
+      os << "p50=" << attempts_percentile(0.50)
+         << " p99=" << attempts_percentile(0.99);
+    }
+    put_fields(os, *this, g.group, false, !attempts);
+    os << '}';
   }
   if (total_aborts() > 0) {
     os << " [";
-    bool first = true;
-    for (std::size_t i = 0; i < aborts.size(); ++i) {
-      if (aborts[i] == 0) continue;
-      if (!first) os << ", ";
-      first = false;
-      os << proust::stm::to_string(static_cast<AbortReason>(i)) << "="
-         << aborts[i];
-    }
-    os << "]";
+    put_entries<AbortReason>(os, aborts, false);
+    os << ']';
   }
   if (total_injected() > 0) {
     os << " injected=[";
-    bool first = true;
-    for (std::size_t i = 0; i < injected.size(); ++i) {
-      if (injected[i] == 0) continue;
-      if (!first) os << ", ";
-      first = false;
-      os << proust::stm::to_string(static_cast<ChaosPoint>(i)) << "="
-         << injected[i];
-    }
-    os << "]";
+    put_entries<ChaosPoint>(os, injected, false);
+    os << ']';
   }
+  return os.str();
+}
+
+std::string StatsSnapshot::to_json() const {
+  std::ostringstream os;
+  put_fields(os, *this, StatGroup::Txn, true, true);
+  os << ", \"aborts\": {";
+  put_entries<AbortReason>(os, aborts, true);
+  os << '}';
+  put_fields(os, *this, StatGroup::Access, true, false);
+  for (const GroupName& g : kGroups) {
+    if (*g.json == '\0') continue;
+    os << ", \"" << g.json << "\": {";
+    const bool attempts = g.group == StatGroup::Attempts;
+    if (attempts) {
+      os << "\"p50\": " << attempts_percentile(0.50)
+         << ", \"p99\": " << attempts_percentile(0.99);
+    }
+    put_fields(os, *this, g.group, true, !attempts);
+    os << '}';
+  }
+  os << ", \"injected\": {";
+  put_entries<ChaosPoint>(os, injected, true);
+  os << '}';
   return os.str();
 }
 
 StatsSnapshot Stats::snapshot() const {
   StatsSnapshot s;
   const unsigned n = ThreadRegistry::high_water();
-  // Relaxed per-field loads (see the Cell accessor comment in stats.hpp):
-  // the watchdog snapshots concurrently with running workers, so a snapshot
-  // is a consistent-enough monotone view, not an atomic cut across cells.
+  // Relaxed per-field loads (see ld/st in stats.hpp): the watchdog
+  // snapshots concurrently with running workers, so a snapshot is a
+  // consistent-enough monotone view, not an atomic cut across cells.
   for (unsigned i = 0; i < n && i < cells_.size(); ++i) {
     const Cell& c = cells_[i];
-    s.starts += ld(c.starts);
-    s.commits += ld(c.commits);
-    s.reads += ld(c.reads);
-    s.writes += ld(c.writes);
-    s.extensions += ld(c.extensions);
-    for (std::size_t j = 0; j < c.aborts.size(); ++j) {
-      s.aborts[j] += ld(c.aborts[j]);
+    for (const StatField& f : kStatFields) {
+      std::uint64_t& acc = s.*f.member;
+      const std::uint64_t v = ld(c.*f.member);
+      acc = f.agg == StatAgg::Max ? std::max(acc, v) : acc + v;
     }
-    for (std::size_t j = 0; j < c.injected.size(); ++j) {
-      s.injected[j] += ld(c.injected[j]);
-    }
-    for (std::size_t j = 0; j < c.attempts_hist.size(); ++j) {
-      s.attempts_hist[j] += ld(c.attempts_hist[j]);
-    }
-    s.max_attempts = std::max(s.max_attempts, ld(c.max_attempts));
-    s.backoff_ns += ld(c.backoff_ns);
-    s.cm_wait_ns += ld(c.cm_wait_ns);
-    s.ro_commits += ld(c.ro_commits);
-    s.mvcc_pushed += ld(c.mvcc_pushed);
-    s.mvcc_reclaimed += ld(c.mvcc_reclaimed);
-    s.mvcc_chain_max = std::max(s.mvcc_chain_max, ld(c.mvcc_chain_max));
-    s.fastpath_hits += ld(c.fastpath_hits);
-    s.fastpath_fallbacks += ld(c.fastpath_fallbacks);
-    s.wal_publishes += ld(c.wal_publishes);
-    s.wal_records += ld(c.wal_records);
-    s.wal_bytes += ld(c.wal_bytes);
-    s.wal_strict_waits += ld(c.wal_strict_waits);
-    s.wal_wait_ns += ld(c.wal_wait_ns);
-    s.wal_refused += ld(c.wal_refused);
+#define PROUST_STATS_SUM_ARRAY(name, n) \
+  for (std::size_t j = 0; j < n; ++j) s.name[j] += ld(c.name[j]);
+    PROUST_STM_STATS(PROUST_STATS_SKIP, PROUST_STATS_SUM_ARRAY)
+#undef PROUST_STATS_SUM_ARRAY
   }
   return s;
 }
@@ -148,30 +183,12 @@ StatsSnapshot Stats::snapshot() const {
 void Stats::reset() {
   // Field-wise relaxed stores rather than `c = Cell{}`: a watchdog may still
   // be snapshotting when a harness resets between runs.
-  for (auto& c : cells_) {
-    st(c.starts, 0);
-    st(c.commits, 0);
-    st(c.reads, 0);
-    st(c.writes, 0);
-    st(c.extensions, 0);
-    for (auto& a : c.aborts) st(a, 0);
-    for (auto& n2 : c.injected) st(n2, 0);
-    for (auto& h : c.attempts_hist) st(h, 0);
-    st(c.max_attempts, 0);
-    st(c.backoff_ns, 0);
-    st(c.cm_wait_ns, 0);
-    st(c.ro_commits, 0);
-    st(c.mvcc_pushed, 0);
-    st(c.mvcc_reclaimed, 0);
-    st(c.mvcc_chain_max, 0);
-    st(c.fastpath_hits, 0);
-    st(c.fastpath_fallbacks, 0);
-    st(c.wal_publishes, 0);
-    st(c.wal_records, 0);
-    st(c.wal_bytes, 0);
-    st(c.wal_strict_waits, 0);
-    st(c.wal_wait_ns, 0);
-    st(c.wal_refused, 0);
+  for (Cell& c : cells_) {
+    for (const StatField& f : kStatFields) st(c.*f.member, 0);
+#define PROUST_STATS_ZERO_ARRAY(name, n) \
+  for (std::uint64_t& x : c.name) st(x, 0);
+    PROUST_STM_STATS(PROUST_STATS_SKIP, PROUST_STATS_ZERO_ARRAY)
+#undef PROUST_STATS_ZERO_ARRAY
   }
 }
 

@@ -32,56 +32,82 @@ constexpr std::uint64_t attempt_bucket_bound(std::size_t bucket) noexcept {
   return bucket < 16 ? bucket + 1 : std::uint64_t{32} << (bucket - 16);
 }
 
+/// How a counter combines across thread slots in Stats::snapshot().
+enum class StatAgg : std::uint8_t { Sum, Max };
+
+// Output groups, in to_string()/to_json() order: G(group, text name, JSON
+// name). Unnamed groups print their fields bare. A named group prints as
+// `name{key=value ...}` in text, only when one of its fields is nonzero,
+// and as a nested object in JSON, always.
+#define PROUST_STM_STAT_GROUPS(G)       \
+  G(Txn, "", "")                        \
+  G(Access, "", "")                     \
+  G(Attempts, "attempts", "attempts")   \
+  G(Wait, "wait", "wait_ns")            \
+  G(Mvcc, "mvcc", "mvcc")               \
+  G(FastPath, "fastpath", "fastpath")   \
+  G(Wal, "wal", "wal")
+
+#define PROUST_STATS_ENUM(name, ...) name,
+enum class StatGroup : std::uint8_t {
+  PROUST_STM_STAT_GROUPS(PROUST_STATS_ENUM)
+};
+
+// The field table: every STM counter, declared once.
+//   S(member, aggregation, group, key, unit) — a scalar counter. `key` names
+//     it inside its group in to_string() and JSON; `unit` suffixes its text.
+//   A(member, size) — an enum-indexed array, summed entry by entry.
+// The per-slot cells, the StatsSnapshot members, snapshot(), reset(),
+// to_string() and to_json() are all generated from it: a new counter is one
+// row here plus its increment site.
+#define PROUST_STM_STATS(S, A)                                                \
+  S(starts, Sum, Txn, "starts", "")   /* transaction attempts begun */       \
+  S(commits, Sum, Txn, "commits", "") /* attempts committed */               \
+  A(aborts, kNumAbortReasons)         /* aborted attempts, by reason */      \
+  S(reads, Sum, Access, "reads", "")  /* transactional reads */              \
+  S(writes, Sum, Access, "writes", "") /* transactional writes */            \
+  S(extensions, Sum, Access, "extensions", "") /* timestamp extensions */    \
+  /* Chaos faults injected at transaction-level points (stm/chaos.hpp).  */  \
+  /* Sync-layer LockTransition injections have no transaction context    */  \
+  /* and are counted by the ChaosPolicy itself; that entry stays zero.   */  \
+  A(injected, kNumChaosPoints)                                               \
+  /* Attempts-per-atomically()-call histogram (one entry per call, see   */  \
+  /* attempt_bucket) and the exact worst case.                           */  \
+  A(attempts_hist, kAttemptBuckets)                                          \
+  S(max_attempts, Max, Attempts, "max", "")                                  \
+  /* Wait time: inter-attempt backoff pauses, and bounded contention-    */  \
+  /* manager waits at conflicts (incl. elder deference).                 */  \
+  S(backoff_ns, Sum, Wait, "backoff", "ns")                                  \
+  S(cm_wait_ns, Sum, Wait, "cm", "ns")                                       \
+  /* MVCC: commits that took the snapshot read-only path (no read set,   */  \
+  /* cannot abort), version-chain entries pushed by writers, entries     */  \
+  /* reclaimed through EBR, and the longest chain a pushing writer left. */  \
+  S(ro_commits, Sum, Mvcc, "ro_commits", "")                                 \
+  S(mvcc_pushed, Sum, Mvcc, "pushed", "")                                    \
+  S(mvcc_reclaimed, Sum, Mvcc, "reclaimed", "")                              \
+  S(mvcc_chain_max, Max, Mvcc, "chain_max", "")                              \
+  /* Optimistic read fast path (DESIGN.md §12): unlocked reads admitted  */  \
+  /* without the abstract lock, and eligible attempts that fell back to  */  \
+  /* the locked slow path (unstable word, frozen snapshot, chaos).       */  \
+  S(fastpath_hits, Sum, FastPath, "hits", "")                                \
+  S(fastpath_fallbacks, Sum, FastPath, "fallbacks", "")                      \
+  /* Durability (DESIGN.md §14): commits that published redo records,    */  \
+  /* records and bytes staged (incl. per-record framing), strict commits */  \
+  /* that blocked on the fsync ack and their wait, and commits refused   */  \
+  /* because the log had failed (StmOptions::wal_fail_mode).             */  \
+  S(wal_publishes, Sum, Wal, "publishes", "")                                \
+  S(wal_records, Sum, Wal, "records", "")                                    \
+  S(wal_bytes, Sum, Wal, "bytes", "")                                        \
+  S(wal_strict_waits, Sum, Wal, "strict_waits", "")                          \
+  S(wal_wait_ns, Sum, Wal, "wait", "ns")                                     \
+  S(wal_refused, Sum, Wal, "refused", "")
+
+#define PROUST_STATS_SKIP(...)
+#define PROUST_STATS_SCALAR_MEMBER(name, ...) std::uint64_t name = 0;
+#define PROUST_STATS_ARRAY_MEMBER(name, n) std::array<std::uint64_t, n> name{};
+
 struct StatsSnapshot {
-  std::uint64_t starts = 0;     // transaction attempts begun
-  std::uint64_t commits = 0;    // attempts committed
-  std::uint64_t reads = 0;      // transactional reads
-  std::uint64_t writes = 0;     // transactional writes
-  std::uint64_t extensions = 0; // successful timestamp extensions
-  std::array<std::uint64_t, static_cast<std::size_t>(AbortReason::kCount)>
-      aborts{};
-  /// Chaos faults injected at transaction-level points (stm/chaos.hpp).
-  /// Sync-layer LockTransition injections have no transaction context and
-  /// are counted by the ChaosPolicy itself; their entry here stays zero.
-  std::array<std::uint64_t, kNumChaosPoints> injected{};
-
-  /// Attempts-per-atomically-call histogram (see attempt_bucket) and the
-  /// exact worst case. One histogram entry per *call*, not per attempt.
-  std::array<std::uint64_t, kAttemptBuckets> attempts_hist{};
-  std::uint64_t max_attempts = 0;
-
-  /// Cumulative wait time, in nanoseconds, split by where it was spent:
-  /// inter-attempt backoff pauses, bounded contention-manager waits at
-  /// conflicts (incl. elder deference).
-  std::uint64_t backoff_ns = 0;
-  std::uint64_t cm_wait_ns = 0;
-
-  /// MVCC mode: commits that took the snapshot read-only path (no read set,
-  /// no validation, cannot abort), version-chain entries pushed by writers,
-  /// entries reclaimed through EBR, and the longest chain ever observed by a
-  /// pushing writer.
-  std::uint64_t ro_commits = 0;
-  std::uint64_t mvcc_pushed = 0;
-  std::uint64_t mvcc_reclaimed = 0;
-  std::uint64_t mvcc_chain_max = 0;
-
-  /// Optimistic read fast path (DESIGN.md §12): unlocked reads admitted
-  /// without the abstract lock, and attempts that were eligible but fell
-  /// back to the locked slow path (unstable word, frozen snapshot, chaos).
-  std::uint64_t fastpath_hits = 0;
-  std::uint64_t fastpath_fallbacks = 0;
-
-  /// Durability (DESIGN.md §14): commits that published redo records to the
-  /// WAL, records/bytes staged, and time strict commits spent blocked on the
-  /// group committer's fsync acknowledgement.
-  std::uint64_t wal_publishes = 0;
-  std::uint64_t wal_records = 0;
-  std::uint64_t wal_bytes = 0;
-  std::uint64_t wal_strict_waits = 0;
-  std::uint64_t wal_wait_ns = 0;
-  /// Commits refused because the log had failed (WalUnavailable thrown
-  /// before any lock was taken — StmOptions::wal_fail_mode).
-  std::uint64_t wal_refused = 0;
+  PROUST_STM_STATS(PROUST_STATS_SCALAR_MEMBER, PROUST_STATS_ARRAY_MEMBER)
 
   std::uint64_t total_aborts() const noexcept;
   std::uint64_t total_injected() const noexcept;
@@ -92,35 +118,38 @@ struct StatsSnapshot {
   /// bucket reports max_attempts). 0 when no calls were recorded.
   std::uint64_t attempts_percentile(double p) const noexcept;
   std::string to_string() const;
+  /// The same groups as JSON object members (`"starts": 1, ...`, no
+  /// enclosing braces), for embedding in a benchmark record. Every group is
+  /// present, zero or not, so records share one schema.
+  std::string to_json() const;
 };
 
+/// Names a scalar counter of the field table (Stats::Counters::add/raise).
+enum class Stat : std::uint8_t {
+  PROUST_STM_STATS(PROUST_STATS_ENUM, PROUST_STATS_SKIP)
+};
+
+/// One scalar row of the field table, indexed by its Stat.
+struct StatField {
+  std::uint64_t StatsSnapshot::*member;
+  StatAgg agg;
+  StatGroup group;
+  const char* key;
+  const char* unit;
+};
+
+#define PROUST_STATS_FIELD(name, agg, group, key, unit) \
+  {&StatsSnapshot::name, StatAgg::agg, StatGroup::group, key, unit},
+inline constexpr StatField kStatFields[] = {
+    PROUST_STM_STATS(PROUST_STATS_FIELD, PROUST_STATS_SKIP)};
+#undef PROUST_STATS_FIELD
+#undef PROUST_STATS_ENUM
+#undef PROUST_STATS_ARRAY_MEMBER
+#undef PROUST_STATS_SCALAR_MEMBER
+
 class Stats {
-  struct alignas(kCacheLine) Cell {
-    std::uint64_t starts = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t extensions = 0;
-    std::array<std::uint64_t, static_cast<std::size_t>(AbortReason::kCount)>
-        aborts{};
-    std::array<std::uint64_t, kNumChaosPoints> injected{};
-    std::array<std::uint64_t, kAttemptBuckets> attempts_hist{};
-    std::uint64_t max_attempts = 0;
-    std::uint64_t backoff_ns = 0;
-    std::uint64_t cm_wait_ns = 0;
-    std::uint64_t ro_commits = 0;
-    std::uint64_t mvcc_pushed = 0;
-    std::uint64_t mvcc_reclaimed = 0;
-    std::uint64_t mvcc_chain_max = 0;
-    std::uint64_t fastpath_hits = 0;
-    std::uint64_t fastpath_fallbacks = 0;
-    std::uint64_t wal_publishes = 0;
-    std::uint64_t wal_records = 0;
-    std::uint64_t wal_bytes = 0;
-    std::uint64_t wal_strict_waits = 0;
-    std::uint64_t wal_wait_ns = 0;
-    std::uint64_t wal_refused = 0;
-  };
+  // A slot's cell has the snapshot's layout, padded to its own cache lines.
+  struct alignas(kCacheLine) Cell : StatsSnapshot {};
 
   // Each cell has exactly one writer (its owning slot's thread), but the
   // watchdog aggregates snapshot() while workers are still running. Relaxed
@@ -144,54 +173,32 @@ class Stats {
   /// increment instead of a ThreadRegistry::slot() TLS lookup per event.
   class Counters {
    public:
-    void count_start() noexcept { bump(c_->starts); }
-    void count_commit() noexcept { bump(c_->commits); }
-    void count_read() noexcept { bump(c_->reads); }
-    void count_write() noexcept { bump(c_->writes); }
-    void count_extension() noexcept { bump(c_->extensions); }
-    void count_abort(AbortReason r) noexcept {
+    /// Adds `d` to a Sum counter.
+    template <Stat F>
+    void add(std::uint64_t d = 1) noexcept {
+      constexpr StatField f = kStatFields[static_cast<std::size_t>(F)];
+      static_assert(f.agg == StatAgg::Sum, "raise() a Max counter");
+      bump(c_->*f.member, d);
+    }
+    /// Raises a Max counter to at least `v`.
+    template <Stat F>
+    void raise(std::uint64_t v) noexcept {
+      constexpr StatField f = kStatFields[static_cast<std::size_t>(F)];
+      static_assert(f.agg == StatAgg::Max, "add() to a Sum counter");
+      if (v > ld(c_->*f.member)) st(c_->*f.member, v);
+    }
+    /// One aborted attempt, or one injected fault, by its enum index.
+    void add(AbortReason r) noexcept {
       bump(c_->aborts[static_cast<std::size_t>(r)]);
     }
-    void count_injected(ChaosPoint p) noexcept {
+    void add(ChaosPoint p) noexcept {
       bump(c_->injected[static_cast<std::size_t>(p)]);
     }
     /// One finished atomically() call that needed `attempts` attempts.
     void count_call(std::uint64_t attempts) noexcept {
       bump(c_->attempts_hist[attempt_bucket(attempts)]);
-      if (attempts > ld(c_->max_attempts)) st(c_->max_attempts, attempts);
+      raise<Stat::max_attempts>(attempts);
     }
-    void count_backoff_ns(std::uint64_t ns) noexcept {
-      bump(c_->backoff_ns, ns);
-    }
-    void count_cm_wait_ns(std::uint64_t ns) noexcept {
-      bump(c_->cm_wait_ns, ns);
-    }
-    void count_ro_commit() noexcept { bump(c_->ro_commits); }
-    /// `n` chain entries pushed this commit; `chain_len` the longest chain
-    /// the writer left behind.
-    void count_mvcc_push(std::uint64_t n, std::uint64_t chain_len) noexcept {
-      bump(c_->mvcc_pushed, n);
-      if (chain_len > ld(c_->mvcc_chain_max)) st(c_->mvcc_chain_max, chain_len);
-    }
-    void count_mvcc_reclaim(std::uint64_t n) noexcept {
-      bump(c_->mvcc_reclaimed, n);
-    }
-    void count_fastpath_hit() noexcept { bump(c_->fastpath_hits); }
-    void count_fastpath_fallback() noexcept { bump(c_->fastpath_fallbacks); }
-    /// One commit that published `records` redo records (`bytes` staged
-    /// payload incl. per-record framing) to the WAL.
-    void count_wal_publish(std::uint64_t records, std::uint64_t bytes) noexcept {
-      bump(c_->wal_publishes);
-      bump(c_->wal_records, records);
-      bump(c_->wal_bytes, bytes);
-    }
-    /// One strict commit that blocked `ns` on the durable-epoch wait.
-    void count_wal_wait_ns(std::uint64_t ns) noexcept {
-      bump(c_->wal_strict_waits);
-      bump(c_->wal_wait_ns, ns);
-    }
-    /// One commit refused because the log had failed (wal_fail_mode).
-    void count_wal_refused() noexcept { bump(c_->wal_refused); }
 
    private:
     friend class Stats;
@@ -202,24 +209,10 @@ class Stats {
   /// Counter handle for a specific registry slot (must be the caller's own).
   Counters counters(unsigned slot) noexcept { return Counters(&cells_[slot]); }
 
-  void count_start() noexcept { bump(cell().starts); }
-  void count_commit() noexcept { bump(cell().commits); }
-  void count_read() noexcept { bump(cell().reads); }
-  void count_write() noexcept { bump(cell().writes); }
-  void count_extension() noexcept { bump(cell().extensions); }
-  void count_abort(AbortReason r) noexcept {
-    bump(cell().aborts[static_cast<std::size_t>(r)]);
-  }
-  void count_injected(ChaosPoint p) noexcept {
-    bump(cell().injected[static_cast<std::size_t>(p)]);
-  }
-
   StatsSnapshot snapshot() const;
   void reset();
 
  private:
-  Cell& cell() noexcept { return cells_[ThreadRegistry::slot()]; }
-
   std::array<Cell, ThreadRegistry::kMaxSlots> cells_{};
 };
 

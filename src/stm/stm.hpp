@@ -252,7 +252,7 @@ class Stm {
     if (options_.cm_policy == CmPolicy::None) return;
     const std::uint64_t t0 = steady_now_ns();
     cm_->pause(backoff);
-    stats_.counters(slot).count_backoff_ns(steady_now_ns() - t0);
+    stats_.counters(slot).add<Stat::backoff_ns>(steady_now_ns() - t0);
   }
 
   /// Stamps handed out per thread slot; padded so neighbouring slots never
@@ -410,7 +410,7 @@ inline bool Txn::admit_unlocked_read(const std::atomic<std::uint64_t>* word,
   // mutator of this very stripe advanced.
   if (word->load(std::memory_order_acquire) != observed) return false;
   if (!covered) arena_.seq_reads.push_back({word, observed});
-  stats_.count_fastpath_hit();
+  stats_.add<Stat::fastpath_hits>();
   return true;
 }
 
@@ -426,12 +426,12 @@ inline bool Txn::admit_unlocked_fence_read(const CommitFence* fence,
   if (fence->word() != observed) return false;
   for (const detail::FenceReadEntry& e : arena_.fence_reads) {
     if (e.fence == fence) {
-      stats_.count_fastpath_hit();
+      stats_.add<Stat::fastpath_hits>();
       return true;
     }
   }
   arena_.fence_reads.push_back({fence, observed});
-  stats_.count_fastpath_hit();
+  stats_.add<Stat::fastpath_hits>();
   return true;
 }
 

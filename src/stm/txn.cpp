@@ -87,7 +87,7 @@ void Txn::begin() {
     mvcc_reader_ = true;
     snapshot_reads_ = 0;
   }
-  stats_.count_start();
+  stats_.add<Stat::starts>();
   if (cm_cell_ != nullptr) [[unlikely]] cm_begin_attempt();
 }
 
@@ -174,17 +174,17 @@ bool Txn::cm_lock_conflict(const Orec& orec) {
     for (int i = 0; i < 16; ++i) Backoff::cpu_relax();
     if ((r & 15u) == 15u) std::this_thread::yield();
     if (!Orec::is_locked(orec.load())) {
-      stats_.count_cm_wait_ns(now_ns() - t0);
+      stats_.add<Stat::cm_wait_ns>(now_ns() - t0);
       return true;
     }
     const std::uint64_t d = cm_cell_->doom.load(std::memory_order_acquire);
     if (d == cm_token_) {
       cm_cell_->doom.store(0, std::memory_order_relaxed);
-      stats_.count_cm_wait_ns(now_ns() - t0);
+      stats_.add<Stat::cm_wait_ns>(now_ns() - t0);
       throw ConflictAbort{AbortReason::CmKilled};
     }
   }
-  stats_.count_cm_wait_ns(now_ns() - t0);
+  stats_.add<Stat::cm_wait_ns>(now_ns() - t0);
   return false;
 }
 
@@ -211,12 +211,12 @@ void Txn::cm_commit_entry() {
     if (d != 0) {
       cm_cell_->doom.store(0, std::memory_order_relaxed);
       if (d == cm_token_) {
-        stats_.count_cm_wait_ns(now_ns() - t0);
+        stats_.add<Stat::cm_wait_ns>(now_ns() - t0);
         throw ConflictAbort{AbortReason::CmKilled};
       }
     }
   }
-  stats_.count_cm_wait_ns(now_ns() - t0);
+  stats_.add<Stat::cm_wait_ns>(now_ns() - t0);
 }
 
 std::uint64_t Txn::fresh_stamp() noexcept { return stm_.next_stamp(slot_); }
@@ -280,7 +280,7 @@ void Txn::clear_reader_marks() noexcept {
 void Txn::read_impl(const VarBase& var, void* dst, std::size_t size) {
   assert(active_);
   assert(size == var.size_);
-  stats_.count_read();
+  stats_.add<Stat::reads>();
   if (mvcc_reader_) [[unlikely]] {
     // Snapshot mode: no read set, no validation, no conflict aborts. The
     // chaos gate stays (injected aborts must exercise the reader unwind
@@ -353,7 +353,7 @@ void Txn::read_impl(const VarBase& var, void* dst, std::size_t size) {
 
 void Txn::read_validate_impl(const VarBase& var) {
   assert(active_);
-  stats_.count_read();
+  stats_.add<Stat::reads>();
   // Validation reads are conflict-abstraction brackets over *current* base
   // state — incompatible with reading a historical snapshot. A snapshot
   // attempt demotes (or retries) as a writer, and the call stops being
@@ -425,7 +425,7 @@ void Txn::read_validate_impl(const VarBase& var) {
 void Txn::write_impl(VarBase& var, const void* src, std::size_t size) {
   assert(active_);
   assert(size == var.size_);
-  stats_.count_write();
+  stats_.add<Stat::writes>();
   if (mvcc_reader_) [[unlikely]] mvcc_promote();
   if (mvcc_state_ != nullptr) [[unlikely]] mvcc_ineligible_ = true;
   cm_poll();
@@ -587,8 +587,11 @@ void Txn::mvcc_publish_chains() {
     if (len > chain_max) chain_max = len;
   }
   ebr.exit(slot_);
-  if (pushed != 0) stats_.count_mvcc_push(pushed, chain_max);
-  if (retired != 0) stats_.count_mvcc_reclaim(retired);
+  if (pushed != 0) {
+    stats_.add<Stat::mvcc_pushed>(pushed);
+    stats_.raise<Stat::mvcc_chain_max>(chain_max);
+  }
+  if (retired != 0) stats_.add<Stat::mvcc_reclaimed>(retired);
 }
 
 bool Txn::validate_read_set() const noexcept {
@@ -625,7 +628,7 @@ void Txn::extend_or_abort() {
     throw ConflictAbort{AbortReason::ValidationFailed};
   }
   rv_ = now;
-  stats_.count_extension();
+  stats_.add<Stat::extensions>();
 }
 
 bool Txn::holds_seq_word(
@@ -651,7 +654,7 @@ bool Txn::owns_fence(const CommitFence* fence) const noexcept {
 bool Txn::chaos_fastpath_fallback_slow() {
   const ChaosAction a = chaos_->decide(ChaosPoint::FastPathRead);
   if (a == ChaosAction::None) [[likely]] return false;
-  stats_.count_injected(ChaosPoint::FastPathRead);
+  stats_.add(ChaosPoint::FastPathRead);
   if (a == ChaosAction::Delay) {
     chaos_->inject_delay();
     return false;
@@ -701,8 +704,8 @@ void Txn::commit() {
     mvcc_state_->reader_end(slot_);
     mvcc_reader_ = false;
     active_ = false;
-    stats_.count_commit();
-    stats_.count_ro_commit();
+    stats_.add<Stat::commits>();
+    stats_.add<Stat::ro_commits>();
     finish_attempt(Outcome::Committed, /*rethrow=*/true);
     return;
   }
@@ -731,7 +734,7 @@ void Txn::commit() {
     }
     clear_reader_marks();
     active_ = false;
-    stats_.count_commit();
+    stats_.add<Stat::commits>();
     finish_attempt(Outcome::Committed, /*rethrow=*/true);
     return;
   }
@@ -859,7 +862,7 @@ void Txn::commit() {
   if (mvcc_state_ != nullptr) [[unlikely]] stm_.clock_catch_up(wv);
   clear_reader_marks();
   active_ = false;
-  stats_.count_commit();
+  stats_.add<Stat::commits>();
   finish_attempt(Outcome::Committed, /*rethrow=*/true);
   // Strict durability ack: block on the group committer's fsync *after* the
   // in-memory commit is fully torn down (locks released, hooks run) — the
@@ -914,7 +917,7 @@ void Txn::wal_check_available() {
                         !arena_.wal_buf.empty();
   if (logging ||
       (stm_.options().wal_fail_mode == WalFailMode::FailStop && mutating)) {
-    stats_.count_wal_refused();
+    stats_.add<Stat::wal_refused>();
     throw WalUnavailable("stm wal failed (" + wal_->options().dir +
                          "): durable commits are refused");
   }
@@ -945,19 +948,22 @@ void Txn::wal_publish() {
   if (arena_.wal_buf.empty()) return;
   wal_epoch_ = wal_->publish(arena_.wal_buf.data(), arena_.wal_buf.size(),
                              arena_.wal_records);
-  stats_.count_wal_publish(arena_.wal_records, arena_.wal_buf.size());
+  stats_.add<Stat::wal_publishes>();
+  stats_.add<Stat::wal_records>(arena_.wal_records);
+  stats_.add<Stat::wal_bytes>(arena_.wal_buf.size());
 }
 
 void Txn::wal_wait_strict() {
   if (wal_->options().durability != WalDurability::Strict) return;
   const std::uint64_t t0 = now_ns();
   wal_->wait_durable(wal_epoch_);
-  stats_.count_wal_wait_ns(now_ns() - t0);
+  stats_.add<Stat::wal_strict_waits>();
+  stats_.add<Stat::wal_wait_ns>(now_ns() - t0);
 }
 
 void Txn::rollback(AbortReason reason) noexcept {
   if (!active_) return;  // commit already completed; nothing to unwind
-  stats_.count_abort(reason);
+  stats_.add(reason);
   if (reason != AbortReason::ChaosInjected) ++eligible_attempts_;
   if (mvcc_state_ != nullptr) [[unlikely]] {
     if (mvcc_reader_) {
@@ -1073,7 +1079,7 @@ void Txn::verify_teardown() noexcept {
 void Txn::chaos_hit(ChaosPoint p) {
   const ChaosAction a = chaos_->decide(p);
   if (a == ChaosAction::None) [[likely]] return;
-  stats_.count_injected(p);
+  stats_.add(p);
   if (a == ChaosAction::Delay) {
     chaos_->inject_delay();
     return;
@@ -1086,7 +1092,7 @@ void Txn::chaos_hit(ChaosPoint p) {
 bool Txn::chaos_timeout_hit(ChaosPoint p) {
   const ChaosAction a = chaos_->decide(p);
   if (a == ChaosAction::None) [[likely]] return false;
-  stats_.count_injected(p);
+  stats_.add(p);
   switch (a) {
     case ChaosAction::Delay:
       chaos_->inject_delay();
@@ -1102,7 +1108,7 @@ void Txn::chaos_delay_only(ChaosPoint p) noexcept {
   // Every counted decision must have an effect: non-Delay draws are coerced
   // to a delay at points where aborting is no longer legal.
   if (chaos_->decide(p) == ChaosAction::None) return;
-  stats_.count_injected(p);
+  stats_.add(p);
   chaos_->inject_delay();
 }
 

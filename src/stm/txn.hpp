@@ -153,7 +153,9 @@ class Txn {
   }
 
   /// Counted when an eligible read fell back to the locked slow path.
-  void note_fastpath_fallback() noexcept { stats_.count_fastpath_fallback(); }
+  void note_fastpath_fallback() noexcept {
+    stats_.add<Stat::fastpath_fallbacks>();
+  }
 
   /// This attempt's sequence-word pins (core/read_seq.hpp appends one per
   /// distinct stripe a mutator touches; released even by the owning table's

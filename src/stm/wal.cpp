@@ -312,17 +312,22 @@ bool Wal::chaos_crash(ChaosPoint p) noexcept {
 
 void Wal::fail(const char* op, int err, const std::string& path) {
   n_errors_.fetch_add(1, std::memory_order_relaxed);
-  const bool already = failed_.exchange(true, std::memory_order_acq_rel);
-  durable_ec_.notify_all();  // strict waiters must stop waiting and throw
-  if (already) return;
-  const WalError e{op, err, path};
-  if (opts_.on_error) {
-    opts_.on_error(e);
-  } else {
-    std::fprintf(stderr,
-                 "[wal] FAILED: %s on %s: %s — durability is now read-only\n",
-                 op, path.c_str(), std::strerror(err));
+  // Report first, publish second: a strict waiter that sees failed() throws
+  // at once, and its caller must already see what on_error recorded. Only
+  // the committer thread (or the constructor, before it starts) fails the
+  // log, so the plain check-then-store reports exactly once.
+  if (!failed_.load(std::memory_order_relaxed)) {
+    const WalError e{op, err, path};
+    if (opts_.on_error) {
+      opts_.on_error(e);
+    } else {
+      std::fprintf(stderr,
+                   "[wal] FAILED: %s on %s: %s — durability is now read-only\n",
+                   op, path.c_str(), std::strerror(err));
+    }
   }
+  failed_.store(true, std::memory_order_release);
+  durable_ec_.notify_all();  // strict waiters must stop waiting and throw
 }
 
 WalErrorPolicy Wal::classify(int err) const noexcept {

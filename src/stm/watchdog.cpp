@@ -59,8 +59,9 @@ void Watchdog::deliver(const StallReport& report) {
 }
 
 void Watchdog::run() {
-  std::uint64_t last_commits = stm_.stats().snapshot().commits;
-  std::uint64_t last_starts = stm_.stats().snapshot().starts;
+  const StatsSnapshot first = stm_.stats().snapshot();
+  std::uint64_t last_commits = first.commits;
+  std::uint64_t last_starts = first.starts;
   std::uint64_t stable_since = now_ns();
 
   while (!stop_.load(std::memory_order_acquire)) {

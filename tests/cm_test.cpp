@@ -1,6 +1,7 @@
 // Contention-management subsystem tests (ctest label "cm"): the policy
 // factory and priority algebra, the elder starvation-recovery protocol, the
-// per-call attempt histogram, and the progress watchdog — plus the
+// per-call attempt histogram, the stats schema (aggregation, reset, text and
+// JSON output), and the progress watchdog — plus the
 // starvation regression the subsystem exists for: a long read-mostly
 // transaction racing a swarm of small writers completes within a bounded
 // number of attempts, under the priority policies and under plain backoff
@@ -9,10 +10,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <memory>
 #include <mutex>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util/json.hpp"
 #include "stm/contention.hpp"
 #include "stm/stats.hpp"
 #include "stm/stm.hpp"
@@ -86,6 +93,244 @@ TEST(AttemptHistogramTest, SingleThreadedCallsLandInTheHistogram) {
   EXPECT_EQ(s.attempts_percentile(1.0), 3u);
   // The retried call paused between attempts; the backoff time is recorded.
   EXPECT_GT(s.backoff_ns, 0u);
+}
+
+// --- Stats schema ------------------------------------------------------------
+
+namespace {
+
+// Drives every counter of one slot's cell. Thread `t` (1 or 2) adds t times a
+// per-field base, so every field sums to a distinct value; the two max fields
+// get their larger value from thread 1, so a sum or a last-writer-wins would
+// both show.
+void drive_every_counter(Stats::Counters c, std::uint64_t t) {
+  c.add<Stat::starts>(1 * t);
+  c.add<Stat::commits>(2 * t);
+  c.add<Stat::reads>(3 * t);
+  c.add<Stat::writes>(4 * t);
+  c.add<Stat::extensions>(5 * t);
+  for (std::size_t r = 0; r < kNumAbortReasons; ++r) {
+    for (std::size_t i = 0; i < (r + 1) * t; ++i) {
+      c.add(static_cast<AbortReason>(r));
+    }
+  }
+  for (std::size_t p = 0; p < kNumChaosPoints; ++p) {
+    for (std::size_t i = 0; i < (p + 1) * t; ++i) {
+      c.add(static_cast<ChaosPoint>(p));
+    }
+  }
+  if (t == 1) {
+    c.count_call(1);
+    c.count_call(20);
+  } else {
+    c.count_call(1);
+    c.count_call(1);
+    c.count_call(5);
+  }
+  c.add<Stat::backoff_ns>(100 * t);
+  c.add<Stat::cm_wait_ns>(1000 * t);
+  c.add<Stat::ro_commits>(6 * t);
+  c.add<Stat::mvcc_pushed>(7 * t);
+  c.raise<Stat::mvcc_chain_max>(t == 1 ? 50 : 30);
+  c.add<Stat::mvcc_reclaimed>(8 * t);
+  c.add<Stat::fastpath_hits>(9 * t);
+  c.add<Stat::fastpath_fallbacks>(10 * t);
+  c.add<Stat::wal_publishes>();
+  c.add<Stat::wal_records>(11 * t);
+  c.add<Stat::wal_bytes>(500 * t);
+  c.add<Stat::wal_strict_waits>();
+  c.add<Stat::wal_wait_ns>(2000 * t);
+  c.add<Stat::wal_refused>(12 * t);
+}
+
+// Runs drive_every_counter on two live threads, so they hold two distinct
+// registry slots (a slot is recycled when its thread exits).
+void drive_from_two_slots(Stats& stats) {
+  std::atomic<int> arrived{0};
+  unsigned slots[2] = {0, 0};
+  auto worker = [&](int i) {
+    slots[i] = ThreadRegistry::slot();
+    drive_every_counter(stats.counters(slots[i]), i + 1);
+    arrived.fetch_add(1);
+    while (arrived.load() < 2) std::this_thread::yield();
+  };
+  std::thread a(worker, 0), b(worker, 1);
+  a.join();
+  b.join();
+  ASSERT_NE(slots[0], slots[1]);
+}
+
+std::string json_of(const StatsSnapshot& s) {
+  const std::string path = ::testing::TempDir() + "stats_schema.json";
+  proust::bench::JsonWriter w("schema");
+  proust::bench::JsonRecord r;
+  r.bench = "schema";
+  w.add(std::move(r.with_stats(s)));
+  EXPECT_TRUE(w.write(path));
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  std::remove(path.c_str());
+  return ss.str();
+}
+
+}  // namespace
+
+TEST(StatsSchemaTest, SumsAndMaxesAcrossSlots) {
+  auto stats = std::make_unique<Stats>();
+  drive_from_two_slots(*stats);
+  const StatsSnapshot s = stats->snapshot();
+  EXPECT_EQ(s.starts, 3u);
+  EXPECT_EQ(s.commits, 6u);
+  EXPECT_EQ(s.reads, 9u);
+  EXPECT_EQ(s.writes, 12u);
+  EXPECT_EQ(s.extensions, 15u);
+  for (std::size_t r = 0; r < s.aborts.size(); ++r) {
+    EXPECT_EQ(s.aborts[r], 3 * (r + 1)) << r;
+  }
+  for (std::size_t p = 0; p < s.injected.size(); ++p) {
+    EXPECT_EQ(s.injected[p], 3 * (p + 1)) << p;
+  }
+  EXPECT_EQ(s.attempts_hist[attempt_bucket(1)], 3u);
+  EXPECT_EQ(s.attempts_hist[attempt_bucket(5)], 1u);
+  EXPECT_EQ(s.attempts_hist[attempt_bucket(20)], 1u);
+  EXPECT_EQ(s.total_calls(), 5u);
+  EXPECT_EQ(s.max_attempts, 20u);  // max, not the sum 25
+  EXPECT_EQ(s.backoff_ns, 300u);
+  EXPECT_EQ(s.cm_wait_ns, 3000u);
+  EXPECT_EQ(s.ro_commits, 18u);
+  EXPECT_EQ(s.mvcc_pushed, 21u);
+  EXPECT_EQ(s.mvcc_reclaimed, 24u);
+  EXPECT_EQ(s.mvcc_chain_max, 50u);  // max, not the sum 80
+  EXPECT_EQ(s.fastpath_hits, 27u);
+  EXPECT_EQ(s.fastpath_fallbacks, 30u);
+  EXPECT_EQ(s.wal_publishes, 2u);
+  EXPECT_EQ(s.wal_records, 33u);
+  EXPECT_EQ(s.wal_bytes, 1500u);
+  EXPECT_EQ(s.wal_strict_waits, 2u);
+  EXPECT_EQ(s.wal_wait_ns, 6000u);
+  EXPECT_EQ(s.wal_refused, 36u);
+}
+
+TEST(StatsSchemaTest, ResetZeroesEveryField) {
+  auto stats = std::make_unique<Stats>();
+  drive_from_two_slots(*stats);
+  stats->reset();
+  const StatsSnapshot s = stats->snapshot();
+  EXPECT_EQ(s.starts + s.commits + s.reads + s.writes + s.extensions, 0u);
+  EXPECT_EQ(s.total_aborts(), 0u);
+  EXPECT_EQ(s.total_injected(), 0u);
+  EXPECT_EQ(s.total_calls(), 0u);
+  EXPECT_EQ(s.max_attempts + s.mvcc_chain_max, 0u);
+  EXPECT_EQ(s.backoff_ns + s.cm_wait_ns, 0u);
+  EXPECT_EQ(s.ro_commits + s.mvcc_pushed + s.mvcc_reclaimed, 0u);
+  EXPECT_EQ(s.fastpath_hits + s.fastpath_fallbacks, 0u);
+  EXPECT_EQ(s.wal_publishes + s.wal_records + s.wal_bytes +
+                s.wal_strict_waits + s.wal_wait_ns + s.wal_refused,
+            0u);
+  EXPECT_EQ(s.to_string(),
+            "starts=0 commits=0 aborts=0 reads=0 writes=0 extensions=0");
+  // The JSON keeps every group, zeroed, so all records share one schema.
+  const std::string json = json_of(s);
+  for (const char* want : {
+           "\"starts\": 0, \"commits\": 0, \"aborts\": {}, \"reads\": 0, "
+           "\"writes\": 0, \"extensions\": 0, ",
+           "\"attempts\": {\"p50\": 0, \"p99\": 0, \"max\": 0}",
+           "\"wait_ns\": {\"backoff\": 0, \"cm\": 0}",
+           "\"mvcc\": {\"ro_commits\": 0, \"pushed\": 0, \"reclaimed\": 0, "
+           "\"chain_max\": 0}",
+           "\"fastpath\": {\"hits\": 0, \"fallbacks\": 0}",
+           "\"wal\": {\"publishes\": 0, \"records\": 0, \"bytes\": 0, "
+           "\"strict_waits\": 0, \"wait\": 0, \"refused\": 0}",
+           "\"injected\": {}",
+       }) {
+    EXPECT_NE(json.find(want), std::string::npos) << want << "\n" << json;
+  }
+}
+
+TEST(StatsSchemaTest, TextIsPinned) {
+  auto stats = std::make_unique<Stats>();
+  drive_from_two_slots(*stats);
+  EXPECT_EQ(
+      stats->snapshot().to_string(),
+      "starts=3 commits=6 aborts=198 reads=9 writes=12 extensions=15"
+      " attempts{p50=1 p99=20 max=20}"
+      " wait{backoff=300ns cm=3000ns}"
+      " mvcc{ro_commits=18 pushed=21 reclaimed=24 chain_max=50}"
+      " fastpath{hits=27 fallbacks=30}"
+      " wal{publishes=2 records=33 bytes=1500 strict_waits=2 wait=6000ns"
+      " refused=36}"
+      " [none=3, read-locked=6, read-version=9, validation=12,"
+      " write-locked=15, visible-reader=18, abstract-lock-timeout=21,"
+      " explicit=24, chaos-injected=27, cm-killed=30, mvcc-promote=33]"
+      " injected=[txn-read=3, txn-validate=6, commit-lock=9, wv-publish=12,"
+      " lap-acquire=15, lock-transition=18, replay-apply=21,"
+      " fast-path-read=24, wal-append=27, wal-seal=30, wal-fsync=33,"
+      " wal-rotate=36, ckpt-begin=39, ckpt-write=42, ckpt-fsync=45,"
+      " ckpt-rename=48, ckpt-retire=51]");
+}
+
+TEST(StatsSchemaTest, JsonKeysArePinned) {
+  auto stats = std::make_unique<Stats>();
+  drive_from_two_slots(*stats);
+  const std::string json = json_of(stats->snapshot());
+  for (const char* want : {
+           "\"starts\": 3,",
+           "\"commits\": 6,",
+           "\"extensions\": 15,",
+           "\"aborts\": {\"none\": 3, \"read-locked\": 6, "
+           "\"read-version\": 9, \"validation\": 12, \"write-locked\": 15, "
+           "\"visible-reader\": 18, \"abstract-lock-timeout\": 21, "
+           "\"explicit\": 24, \"chaos-injected\": 27, \"cm-killed\": 30, "
+           "\"mvcc-promote\": 33}",
+           "\"attempts\": {\"p50\": 1, \"p99\": 20, \"max\": 20}",
+           "\"wait_ns\": {\"backoff\": 300, \"cm\": 3000}",
+           "\"mvcc\": {\"ro_commits\": 18, \"pushed\": 21, "
+           "\"reclaimed\": 24, \"chain_max\": 50}",
+           "\"injected\": {\"txn-read\": 3, \"txn-validate\": 6, "
+           "\"commit-lock\": 9, \"wv-publish\": 12, \"lap-acquire\": 15, "
+           "\"lock-transition\": 18, \"replay-apply\": 21, "
+           "\"fast-path-read\": 24, \"wal-append\": 27, \"wal-seal\": 30, "
+           "\"wal-fsync\": 33, \"wal-rotate\": 36, \"ckpt-begin\": 39, "
+           "\"ckpt-write\": 42, \"ckpt-fsync\": 45, \"ckpt-rename\": 48, "
+           "\"ckpt-retire\": 51}",
+           // The access counters, fast path and WAL groups.
+           "\"reads\": 9,",
+           "\"writes\": 12,",
+           "\"fastpath\": {\"hits\": 27, \"fallbacks\": 30}",
+           "\"wal\": {\"publishes\": 2, \"records\": 33, \"bytes\": 1500, "
+           "\"strict_waits\": 2, \"wait\": 6000, \"refused\": 36}",
+       }) {
+    EXPECT_NE(json.find(want), std::string::npos) << want << "\n" << json;
+  }
+}
+
+// The watchdog snapshots while workers count: the aggregation must be
+// race-free (checked under TSan by the cm label) and see a monotone view.
+TEST(StatsSchemaTest, SnapshotRacesACountingThread) {
+  auto stats = std::make_unique<Stats>();
+  constexpr std::uint64_t kEvents = 20000;
+  std::atomic<bool> done{false};
+  std::thread counter([&] {
+    Stats::Counters c = stats->counters(ThreadRegistry::slot());
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
+      c.add<Stat::starts>();
+      c.add<Stat::mvcc_pushed>();
+      c.raise<Stat::mvcc_chain_max>(i);
+    }
+    done.store(true);
+  });
+  std::uint64_t last = 0;
+  while (!done.load()) {
+    const StatsSnapshot s = stats->snapshot();
+    EXPECT_GE(s.starts, last);
+    last = s.starts;
+  }
+  counter.join();
+  const StatsSnapshot s = stats->snapshot();
+  EXPECT_EQ(s.starts, kEvents);
+  EXPECT_EQ(s.mvcc_pushed, kEvents);
+  EXPECT_EQ(s.mvcc_chain_max, kEvents - 1);
 }
 
 // --- Policy factory and priority algebra -------------------------------------

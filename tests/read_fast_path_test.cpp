@@ -191,7 +191,12 @@ TEST(ReadFastPath, PairConsistencyUnderAggressiveChaos) {
 
 TEST(ReadFastPath, OrderedMapPairConsistency) {
   using OptLap = core::OptimisticLap<std::size_t, core::StripeHasher>;
-  stm::Stm stm(stm::Mode::Lazy, optimistic_opts());
+  // EagerAll, like the opaque configs PairConsistencyAcrossConfigs runs:
+  // the ordered map updates in place, which is opaque only when the STM
+  // detects r/w conflicts eagerly (Theorem 5.2; map_configs.hpp). On Lazy,
+  // a read that falls back to the locked path can see a writer's
+  // uncommitted update, fast path or not.
+  stm::Stm stm(stm::Mode::EagerAll, optimistic_opts());
   OptLap lap(stm, 64);
   core::TxnOrderedMap<long, OptLap> map(lap, 0, 1023, 64);
   for (long k = 0; k < kHalf; ++k) {
