@@ -27,8 +27,7 @@
 
 #include "bench_util/cli.hpp"
 #include "bench_util/harness.hpp"
-#include "bench_util/json.hpp"
-#include "bench_util/table.hpp"
+#include "bench_util/record.hpp"
 #include "core/lap.hpp"
 #include "stm/chaos.hpp"
 #include "stm/stm.hpp"
@@ -132,12 +131,11 @@ struct Cell {
   int ops_per_txn;
   double write_fraction;
   double ops_per_sec;
-  double abort_ratio;
 };
 
 Cell run_cell(stm::Stm& stm, const char* workload, long txns) {
   using stm::Txn;
-  Cell cell{workload, 1, 0, 0, 0};
+  Cell cell{workload, 1, 0, 0};
   const long warmup = txns / 10 + 1;
 
   auto measure = [&](int ops_per_txn, double u, auto&& body) {
@@ -146,7 +144,6 @@ Cell run_cell(stm::Stm& stm, const char* workload, long txns) {
     cell.ops_per_txn = ops_per_txn;
     cell.write_fraction = u;
     cell.ops_per_sec = timed_txns(txns, ops_per_txn, body);
-    cell.abort_ratio = stm.stats().snapshot().abort_ratio();
   };
 
   if (std::string_view(workload) == "read_only") {
@@ -184,15 +181,22 @@ Cell run_cell(stm::Stm& stm, const char* workload, long txns) {
 /// Runs `body(t, rng)` as one transaction on each of `threads` workers,
 /// `total_txns` split evenly, through the shared per-worker-clocked harness:
 /// one warm-up run, then the STM stats are reset and three timed runs
-/// follow. Returns accesses per second of the fastest timed run.
+/// follow. Returns a record whose ops_per_sec counts accesses per second of
+/// the fastest timed run.
 template <class Body>
-double mt_ops_per_sec(stm::Stm& stm, int threads, long total_txns,
-                      int ops_per_txn, std::uint64_t seed, Body&& body) {
+bench::Record mt_record(stm::Stm& stm, int threads, long total_txns,
+                        int ops_per_txn, std::uint64_t seed, Body&& body) {
   const long iters = std::max(1L, total_txns / threads);
   const bench::TimedRuns runs = bench::run_ops_timed(
       threads, iters, /*warmup_runs=*/1, /*timed_runs=*/3, seed, {}, body,
       [&] { stm.stats().reset(); });
-  return runs.ops_per_sec(iters * threads * ops_per_txn, /*use_min=*/true);
+  bench::Record rec;
+  rec.family = "stm";
+  rec.threads = threads;
+  rec.ops_per_txn = ops_per_txn;
+  rec.with_times(runs, iters * threads * ops_per_txn)
+      .with_stats(stm.stats().snapshot());
+  return rec;
 }
 
 struct MtSpec {
@@ -212,8 +216,8 @@ struct MtSpec {
 ///                       only shared word: isolates commit-path overhead)
 ///   mt_counter        — single shared read-modify-write counter (maximum
 ///                       data contention; scheme effects are second-order)
-bench::JsonRecord run_mt_cell(const MtSpec& spec, stm::ClockScheme scheme,
-                              int threads, stm::ChaosPolicy* chaos) {
+bench::Record run_mt_cell(const MtSpec& spec, stm::ClockScheme scheme,
+                          int threads, stm::ChaosPolicy* chaos) {
   stm::StmOptions opts;
   opts.clock_scheme = scheme;
   opts.chaos = chaos;
@@ -240,21 +244,14 @@ bench::JsonRecord run_mt_cell(const MtSpec& spec, stm::ClockScheme scheme,
     }
   };
 
-  const double ops_s = mt_ops_per_sec(stm, threads, spec.total_txns,
-                                      spec.ops_per_txn, /*seed=*/1, body);
-  const stm::StatsSnapshot s = stm.stats().snapshot();
-
-  bench::JsonRecord rec{
-      "micro_stm_mt",
-      spec.workload,
-      stm::to_string(spec.mode),
-      threads,
-      spec.ops_per_txn,
-      std::string_view(spec.workload) == "mt_counter" ? 0.5 : 1.0,
-      ops_s,
-      s.abort_ratio()};
+  bench::Record rec = mt_record(stm, threads, spec.total_txns,
+                                spec.ops_per_txn, /*seed=*/1, body);
+  rec.bench = "micro_stm_mt";
+  rec.impl = rec.workload = spec.workload;
+  rec.mode = stm::to_string(spec.mode);
+  rec.write_fraction =
+      std::string_view(spec.workload) == "mt_counter" ? 0.5 : 1.0;
   rec.scheme = stm::to_string(scheme);
-  rec.with_stats(s);
   return rec;
 }
 
@@ -267,10 +264,10 @@ bench::JsonRecord run_mt_cell(const MtSpec& spec, stm::ClockScheme scheme,
 /// validation, no aborts); the base config runs the same workload through
 /// plain TL2 reads. Stats are always attached so the abort-reason breakdown
 /// (and the mvcc ro_commits/pushed/reclaimed counters) land in the JSON.
-bench::JsonRecord run_ro_cell(const char* cfg_name, bool mvcc,
-                              stm::ClockScheme scheme, int update_pct,
-                              int threads, long total_txns,
-                              stm::ChaosPolicy* chaos) {
+bench::Record run_ro_cell(const char* cfg_name, bool mvcc,
+                          stm::ClockScheme scheme, int update_pct,
+                          int threads, long total_txns,
+                          stm::ChaosPolicy* chaos) {
   stm::StmOptions opts;
   opts.clock_scheme = scheme;
   opts.chaos = chaos;
@@ -301,23 +298,17 @@ bench::JsonRecord run_ro_cell(const char* cfg_name, bool mvcc,
         mvcc ? stm.atomically_ro(reader) : stm.atomically(reader);
   };
 
-  const double ops_s =
-      mt_ops_per_sec(stm, threads, total_txns, kTouched,
-                     /*seed=*/static_cast<std::uint64_t>(update_pct) + 1, body);
+  bench::Record rec =
+      mt_record(stm, threads, total_txns, kTouched,
+                /*seed=*/static_cast<std::uint64_t>(update_pct) + 1, body);
   if (sinks[0] == 0x5EED) std::printf("#");  // defeat dead-code elimination
-  const stm::StatsSnapshot s = stm.stats().snapshot();
-
-  bench::JsonRecord rec{std::string("micro_stm_ro"),
-                        std::string("mt_read_mostly_") + cfg_name,
-                        stm::to_string(stm::Mode::Lazy),
-                        threads,
-                        kTouched,
-                        static_cast<double>(update_pct) / 100.0,
-                        ops_s,
-                        s.abort_ratio()};
+  rec.bench = "micro_stm_ro";
+  rec.impl = cfg_name;
+  rec.workload = std::string("mt_read_mostly_") + cfg_name;
+  rec.mode = stm::to_string(stm::Mode::Lazy);
+  rec.write_fraction = static_cast<double>(update_pct) / 100.0;
   rec.scheme = stm::to_string(scheme);
   rec.extra = update_pct;
-  rec.with_stats(s);
   return rec;
 }
 
@@ -353,22 +344,24 @@ int run_trajectory(const bench::Cli& cli) {
   const stm::Mode modes[] = {stm::Mode::Lazy, stm::Mode::EagerWrite,
                              stm::Mode::EagerAll};
 
-  bench::JsonWriter json(label);
-  bench::Table table({"workload", "mode", "ops/txn", "Mops/s", "abort"});
+  bench::Report report(label);
+  report.table({"workload", "mode", "ops_per_txn", "ops_per_sec",
+                "abort_ratio"});
   for (const Spec& spec : specs) {
     for (stm::Mode mode : modes) {
       stm::Stm stm(mode, base_opts);
       const Cell cell = run_cell(stm, spec.workload, spec.txns);
-      bench::JsonRecord rec{"micro_stm", cell.workload, stm::to_string(mode),
-                            1, cell.ops_per_txn, cell.write_fraction,
-                            cell.ops_per_sec, cell.abort_ratio};
+      bench::Record rec;
+      rec.bench = "micro_stm";
+      rec.family = "stm";
+      rec.impl = rec.workload = cell.workload;
+      rec.mode = stm::to_string(mode);
+      rec.ops_per_txn = cell.ops_per_txn;
+      rec.write_fraction = cell.write_fraction;
       rec.scheme = stm::to_string(stm::ClockScheme::IncOnCommit);
-      if (chaos) rec.with_stats(stm.stats().snapshot());
-      json.add(std::move(rec));
-      table.row({cell.workload, stm::to_string(mode),
-                 std::to_string(cell.ops_per_txn),
-                 bench::Table::fmt(cell.ops_per_sec / 1e6, 2),
-                 bench::Table::fmt(cell.abort_ratio, 4)});
+      rec.with_stats(stm.stats().snapshot());
+      rec.ops_per_sec = cell.ops_per_sec;
+      report.add(std::move(rec));
     }
   }
 
@@ -385,18 +378,12 @@ int run_trajectory(const bench::Cli& cli) {
       {"mt_disjoint_write", stm::Mode::EagerWrite, 8, 120000 * scale},
       {"mt_counter", stm::Mode::Lazy, 2, 120000 * scale},
   };
-  bench::Table mt_table(
-      {"workload", "mode", "scheme", "threads", "Mops/s", "abort"});
+  report.table({"workload", "mode", "scheme", "threads", "ops_per_sec",
+                "abort_ratio"});
   for (const MtSpec& spec : mt_specs) {
     for (stm::ClockScheme scheme : schemes) {
       for (long t : mt_threads) {
-        bench::JsonRecord rec =
-            run_mt_cell(spec, scheme, static_cast<int>(t), chaos.get());
-        mt_table.row({rec.workload, rec.mode, rec.scheme,
-                      std::to_string(rec.threads),
-                      bench::Table::fmt(rec.ops_per_sec / 1e6, 2),
-                      bench::Table::fmt(rec.abort_ratio, 4)});
-        json.add(std::move(rec));
+        report.add(run_mt_cell(spec, scheme, static_cast<int>(t), chaos.get()));
       }
     }
   }
@@ -416,28 +403,20 @@ int run_trajectory(const bench::Cli& cli) {
       {"mvcc_lazybump", true, stm::ClockScheme::LazyBump},
   };
   const int update_pcts[] = {0, 2, 10, 50};
-  bench::Table ro_table(
-      {"config", "update%", "threads", "Mops/s", "abort", "ro_commits"});
+  report.table({"impl", "write_fraction", "threads", "ops_per_sec",
+                "abort_ratio", "ro_commits"});
   for (const RoCfg& cfg : ro_cfgs) {
     for (int u : update_pcts) {
       for (long t : mt_threads) {
-        bench::JsonRecord rec =
-            run_ro_cell(cfg.name, cfg.mvcc, cfg.scheme, u,
-                        static_cast<int>(t), 120000 * scale, chaos.get());
-        ro_table.row({cfg.name, std::to_string(u), std::to_string(t),
-                      bench::Table::fmt(rec.ops_per_sec / 1e6, 2),
-                      bench::Table::fmt(rec.abort_ratio, 4),
-                      std::to_string(rec.stats.ro_commits)});
-        json.add(std::move(rec));
+        report.add(run_ro_cell(cfg.name, cfg.mvcc, cfg.scheme, u,
+                               static_cast<int>(t), 120000 * scale,
+                               chaos.get()));
       }
     }
   }
 
-  if (!json.write(path)) {
-    std::fprintf(stderr, "failed to write %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s (label: %s)\n", path.c_str(), label.c_str());
+  if (!report.write("", path)) return 1;
+  std::printf("label: %s\n", label.c_str());
   return 0;
 }
 

@@ -23,9 +23,11 @@
 // checkpointer thread. Paired-interleaved runs; the acceptance bar is
 // min-time ratio >= 0.97.
 //
-// All modes share one flat CSV schema (--csv <path>); rows carry the same
-// host-topology block as the scenario matrix, and --json records embed it
-// per record, so output from different machines stays comparable.
+// Every cell is one bench::Record (bench_util/record.hpp): a text row, and
+// with --csv/--json a CSV row and a JSON object in the same schema as the
+// scenario matrix, host topology included, so output from different
+// machines stays comparable. `extra` is fsync_every_n in the sweep and the
+// history multiplier in --recovery.
 //
 // Segments land in a scratch directory under the working directory and are
 // removed on exit.
@@ -40,10 +42,8 @@
 
 #include "bench_util/adapters.hpp"
 #include "bench_util/cli.hpp"
-#include "bench_util/csv.hpp"
 #include "bench_util/harness.hpp"
-#include "bench_util/json.hpp"
-#include "bench_util/table.hpp"
+#include "bench_util/record.hpp"
 #include "common/rng.hpp"
 #include "stm/checkpoint.hpp"
 #include "stm/stm.hpp"
@@ -51,11 +51,9 @@
 
 using namespace proust;
 using bench::Cli;
-using bench::CsvWriter;
-using bench::JsonRecord;
-using bench::JsonWriter;
+using bench::Record;
+using bench::Report;
 using bench::RunConfig;
-using bench::Table;
 using bench::TimedRuns;
 
 namespace {
@@ -74,46 +72,27 @@ struct Scratch {
   std::string sub(const std::string& name) const { return path + "/" + name; }
 };
 
-/// One schema for all three run modes so one plot script consumes any
-/// bench_wal CSV: inapplicable fields carry "-". `extra` is the mode's
-/// auxiliary knob (history multiplier for --recovery, unused elsewhere).
-std::vector<std::string> csv_columns() {
-  std::vector<std::string> cols = {"workload", "mode",        "fsync_n",
-                                   "threads",  "u",           "extra",
-                                   "ms",       "ops_per_sec", "ack_us"};
-  for (const std::string& c : CsvWriter::host_columns()) cols.push_back(c);
-  return cols;
-}
-
-void csv_row(CsvWriter* csv, const std::string& workload,
-             const std::string& mode, const std::string& fsync_n, int threads,
-             const std::string& u, const std::string& extra, double ms,
-             double ops_s, const std::string& ack_us) {
-  if (csv == nullptr) return;
-  std::vector<std::string> row = {workload,
-                                  mode,
-                                  fsync_n,
-                                  std::to_string(threads),
-                                  u,
-                                  extra,
-                                  CsvWriter::fmt(ms, 3),
-                                  CsvWriter::fmt(ops_s, 1),
-                                  ack_us};
-  for (const std::string& f : CsvWriter::host_fields()) row.push_back(f);
-  csv->row(row);
-}
-
 struct SweepCtx {
   long ops = 0;
   int warmup = 0;
   int runs = 1;
-  Table* table = nullptr;
-  CsvWriter* csv = nullptr;
-  JsonWriter* json = nullptr;
+  Report* report = nullptr;
 };
 
+/// A record of this driver's `workload` in durability `mode`.
+Record wal_record(const std::string& workload, const std::string& mode,
+                  int threads) {
+  Record r;
+  r.bench = "wal";
+  r.family = "wal";
+  r.impl = r.workload = workload;
+  r.mode = mode;
+  r.threads = threads;
+  return r;
+}
+
 /// One sweep cell: `threads` workers, each transaction writes its thread's
-/// var and (when `wal` is attached) logs a 64-byte record. Returns txn/s.
+/// var and (when `wal` is attached) logs a 64-byte record.
 void run_cell(SweepCtx& ctx, const std::string& durability, long fsync_n,
               int threads, stm::Wal* wal) {
   stm::StmOptions opts;
@@ -137,50 +116,28 @@ void run_cell(SweepCtx& ctx, const std::string& durability, long fsync_n,
       [&] { s.stats().reset(); });
   if (wal != nullptr) wal->flush();
 
-  const stm::StatsSnapshot st = s.stats().snapshot();
-  const long total = iters * threads;
-  const double txn_s = t.ops_per_sec(total, /*use_min=*/true);
-  const double ack_us =
-      st.wal_strict_waits > 0
-          ? static_cast<double>(st.wal_wait_ns) /
-                static_cast<double>(st.wal_strict_waits) / 1000.0
-          : 0.0;
-  ctx.table->row({durability, fsync_n > 0 ? std::to_string(fsync_n) : "-",
-                  std::to_string(threads), Table::fmt(t.min_ms, 2),
-                  Table::fmt(txn_s / 1000.0, 1), Table::fmt(ack_us, 1)});
-  csv_row(ctx.csv, "group_commit", durability,
-          fsync_n > 0 ? std::to_string(fsync_n) : "-", threads, "-", "-",
-          t.min_ms, txn_s, CsvWriter::fmt(ack_us, 2));
-  if (ctx.json != nullptr) {
-    JsonRecord r;
-    r.bench = "wal";
-    r.workload = "group_commit";
-    r.mode = durability;
-    r.threads = threads;
-    r.ops_per_txn = 1;
-    r.ops_per_sec = txn_s;
-    r.extra = fsync_n;
-    ctx.json->add(r);
-  }
+  Record r = wal_record("group_commit", durability, threads);
+  r.extra = fsync_n > 0 ? fsync_n : -1;
+  ctx.report->add(std::move(
+      r.with_times(t, iters * threads).with_stats(s.stats().snapshot())));
 }
 
-int run_sweep(const Cli& cli, CsvWriter* csv, JsonWriter* json) {
+int run_sweep(const Cli& cli, Report& report) {
   const bool smoke = cli.has("smoke");
   Scratch scratch("sweep");
   SweepCtx ctx;
   ctx.ops = cli.get_long("ops", smoke ? 2000 : 40000);
   ctx.warmup = static_cast<int>(cli.get_long("warmup", smoke ? 0 : 1));
   ctx.runs = static_cast<int>(cli.get_long("runs", smoke ? 1 : 5));
-  ctx.csv = csv;
-  ctx.json = json;
+  ctx.report = &report;
   const auto thread_counts = cli.get_longs(
       "threads", smoke ? std::vector<long>{1, 2} : std::vector<long>{1, 2, 4});
   const auto fsync_ns = cli.get_longs("fsync-n", std::vector<long>{1, 8, 64});
 
-  std::printf("# wal sweep: ops=%ld runs=%d (min) %s\n", ctx.ops, ctx.runs,
+  std::printf("# wal sweep: ops=%ld runs=%d %s\n", ctx.ops, ctx.runs,
               smoke ? "(smoke)" : "");
-  Table table({"durability", "fsync_n", "threads", "ms", "ktxn/s", "ack-us"});
-  ctx.table = &table;
+  report.table({"mode", "extra", "threads", "min_ms", "ops_per_sec",
+                "ack_us"});
   int cell = 0;
   for (long t : thread_counts) {
     run_cell(ctx, "off", 0, static_cast<int>(t), nullptr);
@@ -204,7 +161,7 @@ int run_sweep(const Cli& cli, CsvWriter* csv, JsonWriter* json) {
 /// Live state is fixed (kVars registered vars); history is `mult × base`
 /// updates over them. With cuts every `base` records the replayed tail is
 /// bounded by `base` however long the history grows.
-int run_recovery(const Cli& cli, CsvWriter* csv, JsonWriter* json) {
+int run_recovery(const Cli& cli, Report& report) {
   const bool smoke = cli.has("smoke");
   constexpr int kVars = 32;
   const long base = cli.get_long("ops", smoke ? 1500 : 6000);
@@ -215,8 +172,8 @@ int run_recovery(const Cli& cli, CsvWriter* csv, JsonWriter* json) {
   Scratch scratch("recovery");
   std::printf("# wal recovery: base=%ld ops, %d timed recoveries (min) %s\n",
               base, runs, smoke ? "(smoke)" : "");
-  Table table({"ckpt", "mult", "history", "segs", "tail-recs", "recover-ms",
-               "Mops/s"});
+  report.table({"mode", "extra", "total_ops", "wal_segments", "wal_replayed",
+                "min_ms", "ops_per_sec"});
   int cell = 0;
   for (const bool ckpt_on : {false, true}) {
     for (long mult : mults) {
@@ -268,40 +225,26 @@ int run_recovery(const Cli& cli, CsvWriter* csv, JsonWriter* json) {
         if (r == 0 || ms < min_ms) min_ms = ms;
       }
       if (sink == 42) std::printf("#");  // keep the fold from being elided
-      const double hist_per_s =
-          static_cast<double>(history) / min_ms * 1000.0;
-      table.row({ckpt_on ? "on" : "off", std::to_string(mult),
-                 std::to_string(history), std::to_string(info.segments),
-                 std::to_string(info.records), Table::fmt(min_ms, 3),
-                 Table::fmt(hist_per_s / 1e6, 2)});
-      csv_row(csv, "recovery", ckpt_on ? "ckpt" : "no-ckpt", "-", 1, "-",
-              std::to_string(mult), min_ms, hist_per_s, "-");
-      if (json != nullptr) {
-        JsonRecord r;
-        r.bench = "wal";
-        r.workload = "recovery";
-        r.mode = ckpt_on ? "ckpt" : "no-ckpt";
-        r.threads = 1;
-        r.ops_per_txn = 1;
-        // History ops covered per second of restart: with cuts this grows
-        // with the multiplier (bounded replay), without it stays flat.
-        r.ops_per_sec = hist_per_s;
-        r.extra = mult;
-        json->add(r);
-      }
+      // History ops covered per second of restart: with cuts this grows
+      // with the multiplier (bounded replay), without it stays flat.
+      Record r = wal_record("recovery", ckpt_on ? "ckpt" : "no-ckpt", 1);
+      r.extra = mult;
+      r.wal_segments = static_cast<long>(info.segments);
+      r.wal_replayed = static_cast<long>(info.records);
+      report.add(std::move(r.with_times(TimedRuns{min_ms, 0, min_ms}, history)));
     }
   }
   return 0;
 }
 
-int run_neutrality_ab(const Cli& cli, CsvWriter* csv, JsonWriter* json) {
+int run_neutrality_ab(const Cli& cli, Report& report) {
   RunConfig cfg;
   cfg.total_ops = cli.get_long("ops", 200000);
   cfg.key_range = cli.get_long("key-range", 1024);
   cfg.ops_per_txn = static_cast<int>(cli.get_long("o", 4));
   cfg.warmup_runs = static_cast<int>(cli.get_long("warmup", 2));
   cfg.timed_runs = static_cast<int>(cli.get_long("runs", 7));
-  const stm::Mode mode = cli.get_mode("mode", stm::Mode::Lazy);
+  const stm::Mode mode = bench::parse_mode(cli.get("mode", "lazy"));
   const bool with_ckpt = cli.has("ckpt");
   const char* b_name = with_ckpt ? "ab-ckpt-idle" : "ab-wal-idle";
 
@@ -325,8 +268,8 @@ int run_neutrality_ab(const Cli& cli, CsvWriter* csv, JsonWriter* json) {
 
   std::printf("# neutrality A/B: defaults vs %s, "
               "paired-interleaved, %d runs (min)\n", b_name, cfg.timed_runs);
-  Table table({"u", "threads", "off-ms", "wal-ms", "wal/off", "off-ab%",
-               "wal-ab%"});
+  report.table({"workload", "write_fraction", "threads", "min_ms",
+                "abort_ratio"});
   for (double u : cli.get_doubles("u", std::vector<double>{0, 0.5})) {
     for (long t : cli.get_longs("threads", std::vector<long>{1, 2})) {
       cfg.write_fraction = u;
@@ -335,30 +278,18 @@ int run_neutrality_ab(const Cli& cli, CsvWriter* csv, JsonWriter* json) {
       bench::PureStmAdapter on(mode, cfg.key_range, with);
       bench::prefill_half(off, cfg.key_range);
       bench::prefill_half(on, cfg.key_range);
-      const auto [ro, rw] = bench::run_map_throughput_paired(off, on, cfg);
-      table.row({Table::fmt(u, 2), std::to_string(t),
-                 Table::fmt(ro.min_ms, 2), Table::fmt(rw.min_ms, 2),
-                 Table::fmt(rw.min_ms / ro.min_ms, 3),
-                 Table::fmt(100.0 * ro.abort_ratio(), 1),
-                 Table::fmt(100.0 * rw.abort_ratio(), 1)});
-      for (const bool b_side : {false, true}) {
-        const bench::RunResult& tr = b_side ? rw : ro;
-        const char* name = b_side ? b_name : "ab-defaults";
-        csv_row(csv, name, stm::to_string(mode), "-", static_cast<int>(t),
-                CsvWriter::fmt(u, 2), "-", tr.min_ms,
-                tr.ops_per_sec_min(cfg.total_ops), "-");
-        if (json != nullptr) {
-          JsonRecord r;
-          r.bench = "wal";
-          r.workload = name;
-          r.mode = stm::to_string(mode);
-          r.threads = static_cast<int>(t);
-          r.ops_per_txn = cfg.ops_per_txn;
-          r.write_fraction = u;
-          r.ops_per_sec = tr.ops_per_sec_min(cfg.total_ops);
-          json->add(r);
-        }
+      const auto rs = bench::run_map_throughput(
+          std::vector<bench::PureStmAdapter*>{&off, &on}, cfg);
+      for (std::size_t i = 0; i < rs.size(); ++i) {
+        Record r = wal_record(i == 0 ? "ab-defaults" : b_name,
+                              stm::to_string(mode), static_cast<int>(t));
+        r.ops_per_txn = cfg.ops_per_txn;
+        r.write_fraction = u;
+        report.add(std::move(
+            r.with_times(rs[i], cfg.total_ops).with_stats(rs[i].stats)));
       }
+      std::printf("# wal/off min-time ratio: %.3f\n",
+                  rs[1].min_ms / rs[0].min_ms);
     }
   }
   return 0;
@@ -368,29 +299,10 @@ int run_neutrality_ab(const Cli& cli, CsvWriter* csv, JsonWriter* json) {
 
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
-  const std::string json_path = cli.get("json", "");
-  JsonWriter json(cli.get("label", "wal"));
-  JsonWriter* jp = json_path.empty() ? nullptr : &json;
-  const std::string csv_path = cli.get("csv", "");
-  CsvWriter csv(csv_columns());
-  CsvWriter* cvp = csv_path.empty() ? nullptr : &csv;
-
-  const int rc = cli.has("ab")         ? run_neutrality_ab(cli, cvp, jp)
-                 : cli.has("recovery") ? run_recovery(cli, cvp, jp)
-                                       : run_sweep(cli, cvp, jp);
-  if (rc == 0 && cvp != nullptr) {
-    if (!csv.write(csv_path)) {
-      std::fprintf(stderr, "failed to write %s\n", csv_path.c_str());
-      return 1;
-    }
-    std::printf("# wrote %s (%zu rows)\n", csv_path.c_str(), csv.row_count());
-  }
-  if (rc == 0 && jp != nullptr) {
-    if (!json.write(json_path)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("# wrote %s\n", json_path.c_str());
-  }
-  return rc;
+  Report report(cli.get("label", "wal"));
+  const int rc = cli.has("ab")         ? run_neutrality_ab(cli, report)
+                 : cli.has("recovery") ? run_recovery(cli, report)
+                                       : run_sweep(cli, report);
+  if (rc != 0) return rc;
+  return report.write(cli.get("csv", ""), cli.get("json", "")) ? 0 : 1;
 }

@@ -65,9 +65,10 @@ python3 scripts/wal_inspect.py --selftest > /dev/null \
 ctest --test-dir build --output-on-failure -L durability
 
 echo "== matrix: scenario-matrix smoke + CSV post-process =="
-# Tiny grid over every family x pinning cell, CSV consumed end-to-end by
-# plot_results.py (text fallback without matplotlib) — catches schema drift
-# between the bench driver and the post-processor.
+# Tiny grid over every family x pinning cell plus every --preset at smoke
+# scale, each checked for rows under the one CSV header, consumed end-to-end
+# by plot_results.py (text fallback without matplotlib) — catches schema
+# drift between the bench driver and the post-processor.
 scripts/run_experiments.sh --smoke --out build/smoke-results
 
 if [[ "$SKIP_TSAN" == 1 ]]; then

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Drive the unified scenario matrix end-to-end: build the bench, sweep the
 # workload x topology grid, and post-process the CSV into plots (or text
-# summaries when matplotlib is absent).
+# summaries when matplotlib is absent). With --smoke it also runs every
+# --preset at CI scale and checks that each writes rows under the one CSV
+# header plot_results.py reads.
 #
 # Usage: scripts/run_experiments.sh [--smoke] [--out DIR] [-- EXTRA_ARGS...]
-#   --smoke       tiny grid (~seconds); the CI matrix-smoke job runs this
+#   --smoke       tiny grid plus every preset (~1 min); CI runs this
 #   --out DIR     results directory (default: results/)
 #   EXTRA_ARGS    forwarded verbatim to bench_scenario_matrix after `--`
 set -euo pipefail
@@ -44,6 +46,25 @@ echo "== post-process =="
 python3 scripts/plot_results.py "$CSV" --out "$OUT"
 
 if [[ "$SMOKE" == 1 ]]; then
+  echo "== every preset at smoke scale: one CSV header, rows in each =="
+  for p in $(./build/bench/bench_scenario_matrix --preset=list); do
+    [[ "$p" == matrix ]] && continue  # the sweep above
+    ./build/bench/bench_scenario_matrix --preset="$p" --smoke \
+      --csv="$OUT/preset_$p.csv" > "$OUT/preset_$p.txt"
+  done
+  python3 - "$CSV" "$OUT"/preset_*.csv <<'PY'
+import csv
+import sys
+sys.path.insert(0, "scripts")
+from plot_results import COLUMNS, load
+for path in sys.argv[1:]:
+    with open(path, newline="") as f:
+        header = next(csv.reader(f))
+    assert header == COLUMNS, "%s: header %s" % (path, header)
+    assert load(path), "%s: no rows" % path
+print("%d CSVs: one header, rows in each" % (len(sys.argv) - 1))
+PY
+
   echo "== post-process hardening: malformed CSV inputs =="
   # A crash-interrupted sweep leaves a truncated tail (or nothing at all);
   # the post-processor must skip such rows with a warning and still exit 0.

@@ -13,6 +13,7 @@
 #include "baselines/coarse_lock_map.hpp"
 #include "baselines/predication_map.hpp"
 #include "baselines/pure_stm_map.hpp"
+#include "baselines/pure_stm_tree_map.hpp"
 #include "core/lazy_hash_map.hpp"
 #include "core/lazy_trie_map.hpp"
 #include "core/txn_hash_map.hpp"
@@ -84,7 +85,8 @@ class PredicationAdapter
   Map map_;
 };
 
-/// Proust eager map over the optimistic LAP (eager/optimistic quadrant).
+/// Proust eager map over the optimistic LAP (eager/optimistic quadrant);
+/// `combine` enables undo-log combining (§9: restore each key once).
 class EagerOptAdapter
     : public StmAdapterBase<
           EagerOptAdapter,
@@ -93,16 +95,20 @@ class EagerOptAdapter
   using Map = core::TxnHashMap<long, long, Lap>;
 
  public:
-  EagerOptAdapter(stm::Mode mode, std::size_t ca_slots,
+  EagerOptAdapter(stm::Mode mode, std::size_t ca_slots, bool combine = false,
                   stm::StmOptions opts = {})
-      : StmAdapterBase(mode, opts), lap_(stm_, ca_slots), map_(lap_) {}
-  static std::string name() { return "proust-eager"; }
+      : StmAdapterBase(mode, opts), lap_(stm_, ca_slots),
+        map_(lap_, 64, combine), combine_(combine) {}
+  std::string name() const {
+    return combine_ ? "proust-eager+c" : "proust-eager";
+  }
   Map& map() noexcept { return map_; }
   void prefill(long k, long v) { map_.unsafe_put(k, v); }
 
  private:
   Lap lap_;
   Map map_;
+  bool combine_;
 };
 
 /// Proust eager map over the pessimistic LAP (Boosting quadrant).
@@ -153,7 +159,8 @@ class LazyMemoPessAdapter
   Map map_;
 };
 
-/// Proust lazy map with snapshot shadow copies (LazyTrieMap of Fig. 2b).
+/// Proust lazy map with snapshot shadow copies (LazyTrieMap of Fig. 2b);
+/// `combine` enables snapshot-replay combining (§9).
 class LazySnapshotAdapter
     : public StmAdapterBase<
           LazySnapshotAdapter,
@@ -163,15 +170,19 @@ class LazySnapshotAdapter
 
  public:
   LazySnapshotAdapter(stm::Mode mode, std::size_t ca_slots,
-                      stm::StmOptions opts = {})
-      : StmAdapterBase(mode, opts), lap_(stm_, ca_slots), map_(lap_) {}
-  static std::string name() { return "proust-lazy-snap"; }
+                      bool combine = false, stm::StmOptions opts = {})
+      : StmAdapterBase(mode, opts), lap_(stm_, ca_slots), map_(lap_, combine),
+        combine_(combine) {}
+  std::string name() const {
+    return combine_ ? "proust-lazy-snap+c" : "proust-lazy-snap";
+  }
   Map& map() noexcept { return map_; }
   void prefill(long k, long v) { map_.unsafe_put(k, v); }
 
  private:
   Lap lap_;
   Map map_;
+  bool combine_;
 };
 
 /// Proust lazy map with memoizing shadow copies (§4's LazyHashMap); the
@@ -198,6 +209,25 @@ class LazyMemoAdapter
   Lap lap_;
   Map map_;
   bool combine_;
+};
+
+/// Ordered treap entirely in STM: rotations and the root pointer put
+/// logically disjoint keys into shared locations (structural false
+/// conflicts).
+class PureStmTreeAdapter
+    : public StmAdapterBase<PureStmTreeAdapter,
+                            baselines::PureStmTreeMap<long, long>> {
+  using Map = baselines::PureStmTreeMap<long, long>;
+
+ public:
+  explicit PureStmTreeAdapter(stm::Mode mode, stm::StmOptions opts = {})
+      : StmAdapterBase(mode, opts), map_(stm_, 8192) {}
+  static std::string name() { return "pure-stm-tree"; }
+  Map& map() noexcept { return map_; }
+  void prefill(long k, long v) { map_.unsafe_put(k, v); }
+
+ private:
+  Map map_;
 };
 
 /// Whole-transaction global lock (serializable floor/ceiling reference).

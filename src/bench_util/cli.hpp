@@ -1,11 +1,13 @@
 // Minimal flag parsing shared by the benchmark drivers:
 //   --ops=N  --key-range=N  --warmup=N  --runs=N  --threads=1,2,4
-//   --o=1,16  --u=0,0.5,1  --full  --mode=lazy|eagerwrite|eagerall
+//   --o=1,16  --u=0,0.5,1  --mode=lazy,eagerwrite,eagerall
 #pragma once
 
+#include <cctype>
 #include <cstdint>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,18 @@
 #include "stm/options.hpp"
 
 namespace proust::bench {
+
+/// STM mode by name (lazy | eagerwrite | eagerall, any case).
+inline stm::Mode parse_mode(std::string s) {
+  for (char& ch : s) ch = static_cast<char>(std::tolower(ch));
+  for (stm::Mode m :
+       {stm::Mode::Lazy, stm::Mode::EagerWrite, stm::Mode::EagerAll}) {
+    std::string name = stm::to_string(m);
+    for (char& ch : name) ch = static_cast<char>(std::tolower(ch));
+    if (name == s) return m;
+  }
+  throw std::invalid_argument("unknown STM mode '" + s + "'");
+}
 
 class Cli {
  public:
@@ -42,11 +56,6 @@ class Cli {
     return v.empty() ? def : std::strtol(v.c_str(), nullptr, 10);
   }
 
-  double get_double(const std::string& flag, double def) const {
-    const std::string v = get(flag, "");
-    return v.empty() ? def : std::strtod(v.c_str(), nullptr);
-  }
-
   std::vector<long> get_longs(const std::string& flag,
                               std::vector<long> def) const {
     const std::string v = get(flag, "");
@@ -65,24 +74,6 @@ class Cli {
     return out;
   }
 
-  stm::Mode get_mode(const std::string& flag, stm::Mode def) const {
-    const std::string v = get(flag, "");
-    if (v == "lazy") return stm::Mode::Lazy;
-    if (v == "eagerwrite") return stm::Mode::EagerWrite;
-    if (v == "eagerall") return stm::Mode::EagerAll;
-    return def;
-  }
-
-  /// --scheme=inc|pass|lazybump (global-clock scheme).
-  stm::ClockScheme get_scheme(const std::string& flag,
-                              stm::ClockScheme def) const {
-    const std::string v = get(flag, "");
-    if (v == "inc") return stm::ClockScheme::IncOnCommit;
-    if (v == "pass") return stm::ClockScheme::PassOnFailure;
-    if (v == "lazybump") return stm::ClockScheme::LazyBump;
-    return def;
-  }
-
   /// Comma-separated string list, e.g. --pin=none,compact,scatter.
   std::vector<std::string> get_strings(const std::string& flag,
                                        std::vector<std::string> def) const {
@@ -93,15 +84,6 @@ class Cli {
     std::string item;
     while (std::getline(ss, item, ',')) out.push_back(item);
     return out;
-  }
-
-  /// Single pinning policy (--pin-policy=none|compact|scatter|explicit);
-  /// unknown values fall back to `def`.
-  topo::PinPolicy get_pin_policy(const std::string& flag,
-                                 topo::PinPolicy def) const {
-    topo::PinPolicy p = def;
-    (void)topo::parse_pin_policy(get(flag, ""), p);
-    return p;
   }
 
   /// --placement=off|interleave|replicate.

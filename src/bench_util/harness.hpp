@@ -36,27 +36,16 @@ struct RunConfig {
   std::vector<int> pin_plan;
 };
 
-struct RunResult {
+/// Durations of the timed runs of one cell.
+struct TimedRuns {
   double mean_ms = 0;
   double sd_ms = 0;
   double min_ms = 0;  // fastest timed run — robust to CPU-steal noise
-  stm::StatsSnapshot stats;  // STM counters over the timed runs
+};
 
-  /// Completed operations per second for one timed run of `total_ops`.
-  double ops_per_sec(long total_ops) const noexcept {
-    return mean_ms <= 0 ? 0.0
-                        : static_cast<double>(total_ops) / (mean_ms / 1000.0);
-  }
-  /// Throughput of the fastest run. On a shared vCPU, steal time inflates
-  /// some runs by multiples of the true cost; the minimum is the standard
-  /// estimator under such one-sided noise (what the workload costs when the
-  /// machine actually runs it).
-  double ops_per_sec_min(long total_ops) const noexcept {
-    return min_ms <= 0 ? 0.0
-                       : static_cast<double>(total_ops) / (min_ms / 1000.0);
-  }
-  /// Aborted attempts as a fraction of started attempts.
-  double abort_ratio() const noexcept { return stats.abort_ratio(); }
+/// Timed runs of one adapter plus its STM counters over those runs.
+struct RunResult : TimedRuns {
+  stm::StatsSnapshot stats;
 };
 
 namespace detail {
@@ -133,19 +122,6 @@ void prefill_half(Adapter& adapter, long key_range) {
   for (long k = 0; k < key_range; k += 2) adapter.prefill(k, k);
 }
 
-/// Run durations only — for benches whose stats come from elsewhere (or
-/// nowhere, like lock-based baselines).
-struct TimedRuns {
-  double mean_ms = 0;
-  double sd_ms = 0;
-  double min_ms = 0;
-
-  double ops_per_sec(long total_ops, bool use_min) const noexcept {
-    const double ms = use_min ? min_ms : mean_ms;
-    return ms <= 0 ? 0.0 : static_cast<double>(total_ops) / (ms / 1000.0);
-  }
-};
-
 namespace detail {
 inline TimedRuns reduce_times(const std::vector<double>& times) {
   TimedRuns r;
@@ -162,12 +138,6 @@ inline TimedRuns reduce_times(const std::vector<double>& times) {
                 ? std::sqrt(var / static_cast<double>(times.size() - 1))
                 : 0.0;
   return r;
-}
-
-template <class Adapter>
-RunResult reduce_runs(Adapter& adapter, const std::vector<double>& times) {
-  const TimedRuns t = reduce_times(times);
-  return RunResult{t.mean_ms, t.sd_ms, t.min_ms, adapter.stats()};
 }
 
 /// Per-worker-clocked single run of an arbitrary operation stream: worker t
@@ -210,20 +180,6 @@ double one_ops_run(int threads, long iters, std::uint64_t seed,
 }
 }  // namespace detail
 
-template <class Adapter>
-RunResult run_map_throughput(Adapter& adapter, const RunConfig& cfg) {
-  for (int i = 0; i < cfg.warmup_runs; ++i) {
-    detail::one_run(adapter, cfg, cfg.seed + 1000 + i);
-  }
-  adapter.reset_stats();
-  std::vector<double> times;
-  times.reserve(cfg.timed_runs);
-  for (int i = 0; i < cfg.timed_runs; ++i) {
-    times.push_back(detail::one_run(adapter, cfg, cfg.seed + i));
-  }
-  return detail::reduce_runs(adapter, times);
-}
-
 /// Warm up, then time `timed_runs` executions of `iters` ops on each of
 /// `threads` workers (per-worker clocks). `op(t, rng)` performs one
 /// operation; reseeded per run so repeats draw identical streams.
@@ -248,28 +204,30 @@ TimedRuns run_ops_timed(
   return detail::reduce_times(times);
 }
 
-/// A/B comparison: interleave the two adapters' timed runs so both sample
-/// the same noise phases (CPU steal, frequency drift). Back-to-back blocks
+/// Warm up, then time `timed_runs` executions of the map workload on each
+/// adapter. Several adapters interleave their runs so all of them sample
+/// the same noise phases (CPU steal, frequency drift): back-to-back blocks
 /// — all of A's runs, then all of B's — can land in different phases and
-/// skew the A:B ratio by more than the effect under test; adjacent paired
-/// runs keep the ratio meaningful even when absolute times wander.
-template <class A, class B>
-std::pair<RunResult, RunResult> run_map_throughput_paired(A& a, B& b,
-                                                          const RunConfig& cfg) {
+/// skew the A:B ratio by more than the effect under test; adjacent runs
+/// keep the ratio meaningful even when absolute times wander.
+template <class Adapter>
+std::vector<RunResult> run_map_throughput(
+    const std::vector<Adapter*>& adapters, const RunConfig& cfg) {
   for (int i = 0; i < cfg.warmup_runs; ++i) {
-    detail::one_run(a, cfg, cfg.seed + 1000 + i);
-    detail::one_run(b, cfg, cfg.seed + 1000 + i);
+    for (Adapter* a : adapters) detail::one_run(*a, cfg, cfg.seed + 1000 + i);
   }
-  a.reset_stats();
-  b.reset_stats();
-  std::vector<double> ta, tb;
-  ta.reserve(cfg.timed_runs);
-  tb.reserve(cfg.timed_runs);
+  for (Adapter* a : adapters) a->reset_stats();
+  std::vector<std::vector<double>> times(adapters.size());
   for (int i = 0; i < cfg.timed_runs; ++i) {
-    ta.push_back(detail::one_run(a, cfg, cfg.seed + i));
-    tb.push_back(detail::one_run(b, cfg, cfg.seed + i));
+    for (std::size_t k = 0; k < adapters.size(); ++k) {
+      times[k].push_back(detail::one_run(*adapters[k], cfg, cfg.seed + i));
+    }
   }
-  return {detail::reduce_runs(a, ta), detail::reduce_runs(b, tb)};
+  std::vector<RunResult> out;
+  for (std::size_t k = 0; k < adapters.size(); ++k) {
+    out.push_back({detail::reduce_times(times[k]), adapters[k]->stats()});
+  }
+  return out;
 }
 
 }  // namespace proust::bench

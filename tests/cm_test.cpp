@@ -10,16 +10,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_util/json.hpp"
+#include "bench_util/record.hpp"
 #include "stm/contention.hpp"
 #include "stm/stats.hpp"
 #include "stm/stm.hpp"
@@ -161,17 +158,9 @@ void drive_from_two_slots(Stats& stats) {
 }
 
 std::string json_of(const StatsSnapshot& s) {
-  const std::string path = ::testing::TempDir() + "stats_schema.json";
-  proust::bench::JsonWriter w("schema");
-  proust::bench::JsonRecord r;
+  proust::bench::Record r;
   r.bench = "schema";
-  w.add(std::move(r.with_stats(s)));
-  EXPECT_TRUE(w.write(path));
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::remove(path.c_str());
-  return ss.str();
+  return r.with_stats(s).json();
 }
 
 }  // namespace

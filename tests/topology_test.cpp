@@ -14,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench_util/csv.hpp"
+#include "bench_util/record.hpp"
 #include "common/topology.hpp"
 #include "core/read_seq.hpp"
 #include "stm/stm.hpp"
@@ -319,44 +319,77 @@ TEST(NumaArray, ConstructsAndDestroysElements) {
   EXPECT_EQ(arr.size(), 0u);  // NOLINT(bugprone-use-after-move)
 }
 
-TEST(Csv, RowCountMismatchThrows) {
-  bench::CsvWriter csv({"a", "b"});
-  csv.row({"1", "2"});
-  EXPECT_THROW(csv.row({"1"}), std::invalid_argument);
-  EXPECT_THROW(csv.row({"1", "2", "3"}), std::invalid_argument);
-  EXPECT_EQ(csv.row_count(), 1u);
+TEST(Csv, UnknownColumnThrows) {
+  bench::Report report("t");
+  report.table({"impl", "threads"});
+  report.add(bench::Record{});
+  EXPECT_THROW(report.table({"impl", "no_such_field"}), std::invalid_argument);
+  EXPECT_THROW((void)bench::Record{}.format("{no_such_field}"),
+               std::invalid_argument);
+  EXPECT_EQ(report.size(), 1u);
 }
 
 TEST(Csv, Rfc4180Escaping) {
-  EXPECT_EQ(bench::CsvWriter::escape("plain"), "plain");
-  EXPECT_EQ(bench::CsvWriter::escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(bench::CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(bench::CsvWriter::escape("two\nlines"), "\"two\nlines\"");
-  EXPECT_EQ(bench::CsvWriter::fmt(1.25, 1), "1.2");
-  EXPECT_EQ(bench::CsvWriter::fmt(3.14159, 3), "3.142");
+  EXPECT_EQ(bench::csv_escape("plain"), "plain");
+  EXPECT_EQ(bench::csv_escape("a,b"), "\"a,b\"");
+  EXPECT_EQ(bench::csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(bench::csv_escape("two\nlines"), "\"two\nlines\"");
+  EXPECT_EQ(bench::fmt(1.25, 1), "1.2");
+  EXPECT_EQ(bench::fmt(3.14159, 3), "3.142");
 }
 
 TEST(Csv, WritesHeaderAndHostFields) {
-  std::vector<std::string> cols{"x"};
-  for (const std::string& c : bench::CsvWriter::host_columns()) {
-    cols.push_back(c);
-  }
-  bench::CsvWriter csv(cols);
-  std::vector<std::string> row{"1"};
-  for (const std::string& f : bench::CsvWriter::host_fields()) {
-    row.push_back(f);
-  }
-  csv.row(row);
+  bench::Report report("t");
+  bench::Record r;
+  r.bench = "x,y";
+  report.add(r);
 
   const fs::path path =
       fs::temp_directory_path() / "proust_csv_test_out.csv";
-  ASSERT_TRUE(csv.write(path.string()));
+  ASSERT_TRUE(report.write(path.string(), ""));
   std::ifstream in(path);
   std::string header, data;
   std::getline(in, header);
   std::getline(in, data);
-  EXPECT_EQ(header, "x,host_cpus,host_nodes,host_smt");
-  EXPECT_EQ(data.substr(0, 2), "1,");
+  const std::string host = ",host_cpus,host_nodes,host_smt";
+  EXPECT_EQ(header.substr(0, 13), "bench,family,");
+  EXPECT_EQ(header.substr(header.size() - host.size()), host);
+  EXPECT_EQ(data.substr(0, 7), "\"x,y\",,");
+  const topo::Topology& t = topo::Topology::system();
+  const std::string host_row = "," + std::to_string(t.cpu_count()) + "," +
+                               std::to_string(t.node_count) + "," +
+                               (t.smt ? "1" : "0");
+  EXPECT_EQ(data.substr(data.size() - host_row.size()), host_row);
   std::error_code ec;
   fs::remove(path, ec);
+}
+
+// The CSV header, the CSV row and the JSON keys all come from the one field
+// list, so a field added to PROUST_BENCH_RECORD shows up in all three.
+TEST(Csv, OneFieldListDrivesCsvAndJson) {
+  bench::Record r;
+  r.impl = "a\"b";
+  r.threads = 3;
+  r.ops_per_sec = 12.5;
+  const std::vector<std::string> header = bench::Record::csv_header();
+  const std::vector<std::string> row = r.csv_row();
+  const std::string json = r.json();
+  const auto& fields = bench::Record::fields();
+  ASSERT_EQ(header.size(), fields.size() + 3);  // + host_cpus/nodes/smt
+  ASSERT_EQ(row.size(), header.size());
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_EQ(header[i], fields[i].name);
+    EXPECT_EQ(row[i], fields[i].text(r));
+    const std::string key = std::string("\"") + fields[i].name + "\": ";
+    const std::size_t pos = json.find(key, at);
+    ASSERT_NE(pos, std::string::npos) << key << "\n" << json;
+    at = pos + key.size();  // JSON keys appear in field-list order
+  }
+  EXPECT_EQ(row[2], "a\"b");
+  EXPECT_NE(json.find("\"impl\": \"a\\\"b\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"threads\": 3,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ops_per_sec\": 12.5,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"host\": {\"cpus\": "), std::string::npos) << json;
+  EXPECT_NE(json.find("\"starts\": 0, "), std::string::npos) << json;
 }

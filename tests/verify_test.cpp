@@ -175,6 +175,16 @@ TEST(FalseConflicts, StripingTradeoffIsMonotone) {
   EXPECT_LT(saturated, count_false_conflicts(m, map_ca_striped(1)));
 }
 
+TEST(FalseConflicts, StripedMapCountsArePinned) {
+  // The §3 striping table example_verify_ca prints (4 keys, 2 values).
+  const ModelSpec m = make_map_model(4, 2);
+  EXPECT_EQ(count_pairs(m), 17010u);
+  EXPECT_EQ(count_false_conflicts(m, map_ca_striped(1)), 13824u);
+  EXPECT_EQ(count_false_conflicts(m, map_ca_striped(2)), 5400u);
+  EXPECT_EQ(count_false_conflicts(m, map_ca_striped(3)), 3294u);
+  EXPECT_EQ(count_false_conflicts(m, map_ca_striped(4)), 1188u);
+}
+
 TEST(FalseConflicts, PaperCounterCAHasOnlyBoundaryFalseConflicts) {
   const ModelSpec m = make_counter_model(6);
   // The only commuting-but-conflicting pairs are around 0/1 (incr-vs-decr at
