@@ -11,9 +11,12 @@
 //                      the canonical single-thread workloads (read_only,
 //                      write_heavy, read_modify_write, write_large) in every
 //                      mode, and a multi-thread sweep (1/2/4/8/16 threads,
-//                      override with --mt-threads=) of write workloads under
-//                      every global-clock scheme, which is what captures
+//                      override with --mt-threads=) of write workloads and a
+//                      read-mostly base/MVCC sweep, which is what captures
 //                      commit-path scaling rather than just constant factors.
+//                      Every commit draws its write version from the one
+//                      global clock (TL2 GV1); the former clock-scheme loop
+//                      and its `mvcc_lazybump` config are gone.
 //                      Multi-thread cells report the fastest of three
 //                      per-worker-clocked runs after a warm-up run
 //                      (bench::run_ops_timed).
@@ -206,20 +209,19 @@ struct MtSpec {
   long total_txns;
 };
 
-/// One (workload, mode, scheme, threads) cell of the multi-thread sweep.
-/// Workloads are write-shaped on purpose: writing commits are the only
-/// transactions that touch the global clock, so they are where the scheme
-/// shows up.
+/// One (workload, mode, threads) cell of the multi-thread sweep. Workloads
+/// are write-shaped on purpose: writing commits are the only transactions
+/// that touch the global clock, so they are where commit-path scaling shows
+/// up.
 ///   mt_write_heavy    — every txn writes the same 8 shared vars (w/w
 ///                       contention plus clock traffic)
 ///   mt_disjoint_write — each thread writes its own 8 vars (the clock is the
 ///                       only shared word: isolates commit-path overhead)
 ///   mt_counter        — single shared read-modify-write counter (maximum
-///                       data contention; scheme effects are second-order)
-bench::Record run_mt_cell(const MtSpec& spec, stm::ClockScheme scheme,
-                          int threads, stm::ChaosPolicy* chaos) {
+///                       data contention; clock traffic is second-order)
+bench::Record run_mt_cell(const MtSpec& spec, int threads,
+                          stm::ChaosPolicy* chaos) {
   stm::StmOptions opts;
-  opts.clock_scheme = scheme;
   opts.chaos = chaos;
   stm::Stm stm(spec.mode, opts);
 
@@ -251,7 +253,6 @@ bench::Record run_mt_cell(const MtSpec& spec, stm::ClockScheme scheme,
   rec.mode = stm::to_string(spec.mode);
   rec.write_fraction =
       std::string_view(spec.workload) == "mt_counter" ? 0.5 : 1.0;
-  rec.scheme = stm::to_string(scheme);
   return rec;
 }
 
@@ -264,12 +265,10 @@ bench::Record run_mt_cell(const MtSpec& spec, stm::ClockScheme scheme,
 /// validation, no aborts); the base config runs the same workload through
 /// plain TL2 reads. Stats are always attached so the abort-reason breakdown
 /// (and the mvcc ro_commits/pushed/reclaimed counters) land in the JSON.
-bench::Record run_ro_cell(const char* cfg_name, bool mvcc,
-                          stm::ClockScheme scheme, int update_pct,
+bench::Record run_ro_cell(const char* cfg_name, bool mvcc, int update_pct,
                           int threads, long total_txns,
                           stm::ChaosPolicy* chaos) {
   stm::StmOptions opts;
-  opts.clock_scheme = scheme;
   opts.chaos = chaos;
   opts.mvcc = mvcc;
   stm::Stm stm(stm::Mode::Lazy, opts);
@@ -307,7 +306,6 @@ bench::Record run_ro_cell(const char* cfg_name, bool mvcc,
   rec.workload = std::string("mt_read_mostly_") + cfg_name;
   rec.mode = stm::to_string(stm::Mode::Lazy);
   rec.write_fraction = static_cast<double>(update_pct) / 100.0;
-  rec.scheme = stm::to_string(scheme);
   rec.extra = update_pct;
   return rec;
 }
@@ -358,19 +356,15 @@ int run_trajectory(const bench::Cli& cli) {
       rec.mode = stm::to_string(mode);
       rec.ops_per_txn = cell.ops_per_txn;
       rec.write_fraction = cell.write_fraction;
-      rec.scheme = stm::to_string(stm::ClockScheme::IncOnCommit);
       rec.with_stats(stm.stats().snapshot());
       rec.ops_per_sec = cell.ops_per_sec;
       report.add(std::move(rec));
     }
   }
 
-  // Thread sweep: every clock scheme over write-shaped workloads.
+  // Thread sweep over write-shaped workloads.
   const auto mt_threads =
       cli.get_longs("mt-threads", std::vector<long>{1, 2, 4, 8, 16});
-  const stm::ClockScheme schemes[] = {stm::ClockScheme::IncOnCommit,
-                                      stm::ClockScheme::PassOnFailure,
-                                      stm::ClockScheme::LazyBump};
   const MtSpec mt_specs[] = {
       {"mt_write_heavy", stm::Mode::Lazy, 8, 120000 * scale},
       {"mt_write_heavy", stm::Mode::EagerWrite, 8, 120000 * scale},
@@ -378,39 +372,31 @@ int run_trajectory(const bench::Cli& cli) {
       {"mt_disjoint_write", stm::Mode::EagerWrite, 8, 120000 * scale},
       {"mt_counter", stm::Mode::Lazy, 2, 120000 * scale},
   };
-  report.table({"workload", "mode", "scheme", "threads", "ops_per_sec",
+  report.table({"workload", "mode", "threads", "ops_per_sec",
                 "abort_ratio"});
   for (const MtSpec& spec : mt_specs) {
-    for (stm::ClockScheme scheme : schemes) {
-      for (long t : mt_threads) {
-        report.add(run_mt_cell(spec, scheme, static_cast<int>(t), chaos.get()));
-      }
+    for (long t : mt_threads) {
+      report.add(run_mt_cell(spec, static_cast<int>(t), chaos.get()));
     }
   }
 
   // Read-mostly sweep: update ratio x threads x {base TL2, mvcc snapshot
-  // reads (IncOnCommit and LazyBump)}. This is the headline MVCC cell: at low
-  // update ratios the snapshot configs should show a near-zero abort ratio
-  // with writers still running.
+  // reads}. This is the headline MVCC cell: at low update ratios the
+  // snapshot config should show a near-zero abort ratio with writers still
+  // running.
   struct RoCfg {
     const char* name;
     bool mvcc;
-    stm::ClockScheme scheme;
   };
-  const RoCfg ro_cfgs[] = {
-      {"base", false, stm::ClockScheme::IncOnCommit},
-      {"mvcc", true, stm::ClockScheme::IncOnCommit},
-      {"mvcc_lazybump", true, stm::ClockScheme::LazyBump},
-  };
+  const RoCfg ro_cfgs[] = {{"base", false}, {"mvcc", true}};
   const int update_pcts[] = {0, 2, 10, 50};
   report.table({"impl", "write_fraction", "threads", "ops_per_sec",
                 "abort_ratio", "ro_commits"});
   for (const RoCfg& cfg : ro_cfgs) {
     for (int u : update_pcts) {
       for (long t : mt_threads) {
-        report.add(run_ro_cell(cfg.name, cfg.mvcc, cfg.scheme, u,
-                               static_cast<int>(t), 120000 * scale,
-                               chaos.get()));
+        report.add(run_ro_cell(cfg.name, cfg.mvcc, u, static_cast<int>(t),
+                               120000 * scale, chaos.get()));
       }
     }
   }

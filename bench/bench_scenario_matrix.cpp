@@ -494,9 +494,6 @@ void emit(Ctx& ctx, const Cell& c, const TimedRuns& t,
   r.family = c.family;
   r.impl = c.impl;
   r.mode = c.mode;
-  if (c.impl != "global-lock") {
-    r.scheme = stm::to_string(stm::StmOptions{}.clock_scheme);
-  }
   r.cm = c.cm;
   r.read_path = c.read_path;
   r.pin = c.pin;

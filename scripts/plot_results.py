@@ -16,14 +16,13 @@ from collections import defaultdict
 # The bench::Record CSV header (src/bench_util/record.hpp), in order: every
 # preset of bench_scenario_matrix writes exactly these columns.
 COLUMNS = [
-    "bench", "family", "impl", "workload", "mode", "scheme", "cm",
-    "read_path", "pin", "mix", "threads", "ops_per_txn", "write_fraction",
-    "key_range", "zipf", "scan_frac", "scan_width", "ca_slots", "combine",
-    "extra", "total_ops", "mean_ms", "sd_ms", "min_ms", "ops_per_sec",
-    "abort_ratio", "aborts_total", "aborts_per_txn", "stm_accesses",
-    "attempts_p50", "attempts_p99", "attempts_max", "cm_killed", "ro_commits",
-    "ack_us", "wal_segments", "wal_replayed", "host_cpus", "host_nodes",
-    "host_smt",
+    "bench", "family", "impl", "workload", "mode", "cm", "read_path",
+    "pin", "mix", "threads", "ops_per_txn", "write_fraction", "key_range",
+    "zipf", "scan_frac", "scan_width", "ca_slots", "combine", "extra",
+    "total_ops", "mean_ms", "sd_ms", "min_ms", "ops_per_sec", "abort_ratio",
+    "aborts_total", "aborts_per_txn", "stm_accesses", "attempts_p50",
+    "attempts_p99", "attempts_max", "cm_killed", "ro_commits", "ack_us",
+    "wal_segments", "wal_replayed", "host_cpus", "host_nodes", "host_smt",
 ]
 NUMERIC = set(COLUMNS[COLUMNS.index("threads"):])
 

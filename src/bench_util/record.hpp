@@ -26,7 +26,6 @@ namespace proust::bench {
   S(impl)      /* implementation under test */                              \
   S(workload)  /* the row key a trajectory compares across runs */          \
   S(mode)      /* STM mode; "" for non-STM baselines */                     \
-  S(scheme)    /* global-clock scheme */                                    \
   S(cm)        /* contention-management policy */                           \
   S(read_path) /* locked | optimistic wrapper reads */                      \
   S(pin)       /* pinning policy */                                          \

@@ -15,8 +15,8 @@ class Backoff {
  public:
   /// `yield_after` is the spin-vs-nap split: once the randomized window
   /// reaches it, every pause also surrenders the processor (spinning past
-  /// that point starves the opponent on oversubscribed machines). The STM
-  /// exposes all three parameters through StmOptions.
+  /// that point starves the opponent on oversubscribed machines). The STM's
+  /// inter-attempt backoff uses the defaults.
   explicit Backoff(std::uint64_t seed = 1, std::uint32_t min_spins = 32,
                    std::uint32_t max_spins = 1u << 16,
                    std::uint32_t yield_after = 4096) noexcept

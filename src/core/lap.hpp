@@ -89,6 +89,14 @@ class OptimisticLap {
   std::size_t region_size() const noexcept { return mem_.size(); }
 
  private:
+  /// The region slot of `key`: `h(k) mod M` with `h` = `Hasher` (for
+  /// integral keys proust::Hash, the mix64 avalanche) and M a power of two,
+  /// so the mod is a mask. Not `k mod M`: the avalanche spreads clustered
+  /// and strided keys (a dense range aligned to M, multiples of M) over the
+  /// whole region, so no key pattern funnels onto a few slots. The price is
+  /// birthday collisions among few keys — in the false-conflicts preset the
+  /// disjoint sets {0..7} and {8..15} share slot 53 at M=64 (keys 4, 5, 12),
+  /// which `k mod 64` would keep apart.
   stm::Var<std::uint64_t>& slot(const Key& key) {
     return mem_[Hasher{}(key) & (mem_.size() - 1)];
   }
@@ -117,9 +125,9 @@ class PessimisticLap {
   using Clock = std::chrono::steady_clock;
 
   /// Passing `kDefaultTimeout` (the default) takes the acquisition timeout
-  /// from `stm.options().lap_timeout`, with optional per-thread jitter
-  /// (options().lap_timeout_jitter). An explicit timeout is used verbatim —
-  /// no jitter — so tests can pin exact timing through this path.
+  /// from `stm.options().lap_timeout`, with per-thread jitter. An explicit
+  /// timeout is used verbatim — no jitter — so tests can pin exact timing
+  /// through this path.
   static constexpr std::chrono::nanoseconds kDefaultTimeout{-1};
 
   PessimisticLap(stm::Stm& stm, std::size_t stripes,
@@ -224,18 +232,14 @@ class PessimisticLap {
   }
 
   void resolve_timeout(std::chrono::nanoseconds timeout) {
-    if (timeout == kDefaultTimeout) {
-      timeout_ = stm_->options().lap_timeout;
-      jitter_ = stm_->options().lap_timeout_jitter;
-    } else {
-      timeout_ = timeout;
-      jitter_ = false;
-    }
+    jitter_ = timeout == kDefaultTimeout;
+    timeout_ = jitter_ ? stm_->options().lap_timeout : timeout;
   }
 
-  /// The calling thread's effective acquisition timeout. With jitter on,
-  /// each registry slot gets a fixed point in [t − t/4, t + t/4]: symmetric
-  /// abstract-lock deadlocks are broken by both parties timing out, and
+  /// The calling thread's effective acquisition timeout. With jitter (the
+  /// default timeout), each registry slot gets a fixed point in
+  /// [t − t/4, t + t/4]: symmetric abstract-lock deadlocks are broken by
+  /// both parties timing out, and
   /// identical timeouts make them abort in lockstep and re-collide on the
   /// retry, while jittered ones let one party win the second race.
   std::chrono::nanoseconds acquire_timeout() const {

@@ -1,8 +1,7 @@
 // Runtime policy knobs for the STM: the contention-management policy applied
 // between retry attempts and at detected conflicts (§7 discusses how much CM
 // coupling matters) together with the elder protocol that bounds each call's
-// retries, the global-version-clock scheme used by the commit path, and the
-// progress-watchdog hooks.
+// retries, and the progress-watchdog hooks.
 #pragma once
 
 #include <chrono>
@@ -47,49 +46,8 @@ constexpr const char* to_string(CmPolicy p) noexcept {
   return "?";
 }
 
-/// How a writing commit obtains its write version `wv` from the STM's global
-/// clock — a design-space axis of its own (TL2's GV1/GV4/GV5 family). The
-/// clock word is the one cache line every writing commit shares, so the
-/// scheme decides how commit throughput scales with thread count.
-///
-/// The `rv + 1 == wv` validation-skip fast path is sound ONLY under
-/// IncOnCommit: there every committer increments the clock *after* acquiring
-/// its write locks, so `wv == rv + 1` proves no writer overlapped this
-/// transaction's reads. Under PassOnFailure two commits may share one `wv`
-/// (the CAS loser adopts the winner's value mid-flight), and under LazyBump
-/// the clock does not tick per commit at all, so both schemes always
-/// revalidate the read set (see DESIGN.md §7).
-enum class ClockScheme : std::uint8_t {
-  /// GV1: every writing commit does one `fetch_add` on the shared clock.
-  /// Cheapest bookkeeping, keeps the validation-skip fast path, but every
-  /// commit ping-pongs the clock cache line.
-  IncOnCommit,
-  /// GV4: CAS the clock from its observed value `g` to `g + 1`; on CAS
-  /// failure reuse the winner's published value as this commit's `wv`
-  /// instead of retrying. Contended commits stop fighting over the clock
-  /// line — at most one RMW succeeds per tick, everyone else piggybacks.
-  PassOnFailure,
-  /// GV5: commit at `clock_now() + 1` without writing the clock at all; a
-  /// reader that meets a too-new version bumps the clock up to it before
-  /// retrying (Stm::clock_catch_up), which bounds the extra aborts this
-  /// scheme trades for a write-free commit.
-  LazyBump,
-};
-
-constexpr const char* to_string(ClockScheme s) noexcept {
-  switch (s) {
-    case ClockScheme::IncOnCommit: return "IncOnCommit";
-    case ClockScheme::PassOnFailure: return "PassOnFailure";
-    case ClockScheme::LazyBump: return "LazyBump";
-  }
-  return "?";
-}
-
 struct StmOptions {
   CmPolicy cm_policy = CmPolicy::ExponentialBackoff;
-
-  /// Global-clock scheme used by writing commits (see ClockScheme).
-  ClockScheme clock_scheme = ClockScheme::IncOnCommit;
 
   // --- Multi-version snapshot reads (DESIGN.md §11) ------------------------
   /// Keep a short per-Var version chain at every writing commit so that
@@ -122,20 +80,7 @@ struct StmOptions {
   /// read path is then used exclusively and pays one never-taken branch.
   bool optimistic_reads = false;
 
-  // --- Inter-attempt backoff shape (common/backoff.hpp) -------------------
-  /// Initial randomized spin window after the first abort.
-  std::uint32_t backoff_min_spins = 32;
-  /// Ceiling of the exponentially growing spin window.
-  std::uint32_t backoff_max_spins = 1u << 16;
-  /// Spin-vs-nap split: once the window reaches this, every pause also
-  /// yields the processor.
-  std::uint32_t backoff_yield_after = 4096;
-
   // --- Priority contention management (Karma / TimestampAging) ------------
-  /// Bounded wait at a lock conflict the arbitration decided to sit out
-  /// (opponent is weaker, or tie): rounds of ~16 relaxed spins, with a
-  /// yield every 16th round, before giving up and aborting self.
-  unsigned cm_wait_rounds = 128;
   /// Eligible (non-chaos) aborted attempts after which a transaction
   /// requests starvation recovery: it publishes itself as the STM's "elder"
   /// and committers defer to it briefly (see cm_elder_yield). Bounds the
@@ -158,16 +103,12 @@ struct StmOptions {
   /// Abstract-lock acquisition timeout used by pessimistic LAPs constructed
   /// without an explicit timeout. Timing out is the runtime's abstract-lock
   /// deadlock recovery: the transaction aborts, releases everything, backs
-  /// off and retries.
+  /// off and retries. Each registry slot applies a fixed ±25% jitter to it
+  /// (core/lap.hpp): symmetric deadlocks are recovered by both parties
+  /// timing out, and identical timeouts would make them abort in lockstep
+  /// and re-collide on the retry. LAPs constructed with an explicit timeout
+  /// use it verbatim.
   std::chrono::nanoseconds lap_timeout = std::chrono::milliseconds(2);
-
-  /// Apply ±25% per-thread jitter to `lap_timeout` (fixed per registry
-  /// slot). Symmetric deadlocks are recovered by both parties timing out;
-  /// identical timeouts make them abort in lockstep and re-collide on the
-  /// retry, while jittered ones let one party win the second race. LAPs
-  /// constructed with an explicit timeout are exempt (tests pin exact
-  /// timeout behavior through that path).
-  bool lap_timeout_jitter = true;
 
   // --- Topology awareness (common/topology.hpp, DESIGN.md §13) -------------
   /// Pin each registry slot's thread to a CPU on its first top-level

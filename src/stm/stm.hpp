@@ -1,4 +1,4 @@
-// The STM runtime: a global version clock (with a pluggable advance scheme),
+// The STM runtime: a global version clock (TL2 GV1),
 // a block-allocating stamp source, a conflict detection mode and statistics,
 // plus the `atomically` retry loop.
 //
@@ -74,71 +74,20 @@ class Stm {
     return clock_.load(std::memory_order_acquire);
   }
 
-  /// Produce this commit's write version under the configured clock scheme.
-  /// Must be called *after* the committing transaction holds all of its
-  /// write locks, with `lock_floor` the largest committed version those
-  /// locks displaced. Every scheme upholds two invariants:
+  /// Produce this commit's write version: one `fetch_add` on the global
+  /// clock (TL2 GV1). Must be called *after* the committing transaction
+  /// holds all of its write locks, which yields two invariants:
   ///  - `wv` postdates lock acquisition: a reader whose `rv >= wv` began
   ///    after this committer's locks were visible, so it can never have
-  ///    copied a pre-commit value of ours;
-  ///  - `wv > lock_floor`: a committed orec's version strictly increases,
-  ///    so the exact-version compares in read-set validation can never
-  ///    mistake two different committed states of one var for each other.
-  /// IncOnCommit and PassOnFailure get the floor for free (the clock is
-  /// ticked past every released version before anyone can displace it);
-  /// LazyBump never writes the clock on commit, so it enforces the floor
-  /// explicitly — otherwise back-to-back commits to one var would both
-  /// release at clock+1 and reuse a version.
-  Version generate_wv(Version lock_floor) noexcept {
-    switch (options_.clock_scheme) {
-      case ClockScheme::IncOnCommit: {
-        const Version wv = clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
-        assert(wv > lock_floor);
-        return wv;
-      }
-      case ClockScheme::PassOnFailure: {
-        Version g = clock_.load(std::memory_order_acquire);
-        if (clock_.compare_exchange_strong(g, g + 1,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-          assert(g + 1 > lock_floor);
-          return g + 1;
-        }
-        // Lost the race: the winner already moved the clock past us. Adopt
-        // its published value instead of retrying the RMW — sharing a wv is
-        // safe because both committers generated it while holding their
-        // (necessarily disjoint) write locks, and the adopted value still
-        // exceeds `lock_floor` (our locks happened-before our `g` load, so
-        // g >= lock_floor, and the adopted value is > g).
-        const Version wv = clock_.load(std::memory_order_acquire);
-        assert(wv > lock_floor);
-        return wv;
-      }
-      case ClockScheme::LazyBump: {
-        // Commit "in the future" without touching the clock; readers that
-        // meet the version catch the clock up (clock_catch_up). The load is
-        // seq_cst, pairing with the seq_cst CAS in clock_catch_up, so a
-        // catch-up that precedes this load in the seq_cst order is never
-        // read stale (see DESIGN.md §7 for the residual multi-copy-atomic
-        // hardware assumption this scheme shares with TL2's GV5).
-        const Version wv = clock_.load(std::memory_order_seq_cst) + 1;
-        return wv > lock_floor ? wv : lock_floor + 1;
-      }
-    }
-    return clock_.fetch_add(1, std::memory_order_acq_rel) + 1;  // unreachable
-  }
-
-  /// Raise the clock to at least `v` (no-op if already there). LazyBump
-  /// readers call this when they observe a version ahead of the clock, so
-  /// the retried attempt begins with `rv >= v` and can make progress. The
-  /// successful CAS is seq_cst to pair with the LazyBump clock load in
-  /// generate_wv.
-  void clock_catch_up(Version v) noexcept {
-    Version g = clock_.load(std::memory_order_acquire);
-    while (g < v && !clock_.compare_exchange_weak(g, v,
-                                                  std::memory_order_seq_cst,
-                                                  std::memory_order_acquire)) {
-    }
+  ///    copied a pre-commit value of ours; and `rv + 1 == wv` proves no
+  ///    other writer committed since the reader's snapshot;
+  ///  - `wv` exceeds every version the locks displaced (each was released
+  ///    by a commit that ticked the clock to it before we could lock), so a
+  ///    committed orec's version strictly increases and the exact-version
+  ///    compares in read-set validation cannot mistake two committed states
+  ///    of one var for each other.
+  Version generate_wv() noexcept {
+    return clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
   }
 
   /// A process-unique stamp for `slot` (the calling thread's registry slot).
@@ -210,9 +159,7 @@ class Stm {
     // sibling threads correlated backoff sequences.
     Backoff backoff(0x7265747279ULL ^
                         (reinterpret_cast<std::uintptr_t>(&tx) >> 4) ^
-                        (std::uint64_t{tx.slot()} * 0x9E3779B97F4A7C15ULL),
-                    options_.backoff_min_spins, options_.backoff_max_spins,
-                    options_.backoff_yield_after);
+                        (std::uint64_t{tx.slot()} * 0x9E3779B97F4A7C15ULL));
     for (;;) {
       try {
         tx.begin();
@@ -359,13 +306,10 @@ inline bool Txn::fast_read_cut() {
     throw ConflictAbort{AbortReason::ValidationFailed};
   }
   // Unlocked reads carry no version, so admitting one is only sound at a
-  // cut where the *entire* read set is current. Under IncOnCommit an
-  // unmoved clock proves no writer committed since rv_; the other schemes
-  // cannot prove quiescence from the clock (LazyBump never ticks), so any
-  // STM read set forces a full extension.
-  if (!arena_.reads.empty() &&
-      (scheme_ != ClockScheme::IncOnCommit || stm_.clock_now() != rv_))
-      [[unlikely]] {
+  // cut where the *entire* read set is current. An unmoved clock proves no
+  // writer committed since rv_; otherwise a non-empty STM read set forces a
+  // full extension.
+  if (!arena_.reads.empty() && stm_.clock_now() != rv_) [[unlikely]] {
     if (snapshot_frozen_) return false;  // cannot extend; use the slow path
     extend_or_abort();
   }
@@ -399,10 +343,8 @@ inline bool Txn::admit_unlocked_read(const std::atomic<std::uint64_t>* word,
     throw ConflictAbort{AbortReason::ValidationFailed};
   }
   // See fast_read_cut: a non-empty STM read set forces proof of a current
-  // cut (unmoved IncOnCommit clock) or a full extension.
-  if (!arena_.reads.empty() &&
-      (scheme_ != ClockScheme::IncOnCommit || stm_.clock_now() != rv_))
-      [[unlikely]] {
+  // cut (unmoved clock) or a full extension.
+  if (!arena_.reads.empty() && stm_.clock_now() != rv_) [[unlikely]] {
     if (snapshot_frozen_) return false;  // cannot extend; use the slow path
     extend_or_abort();
   }

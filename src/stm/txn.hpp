@@ -325,10 +325,6 @@ class Txn {
   /// chain (before in-place overwrite / lock release) and truncate against
   /// the minimum active snapshot. Requires all write locks held.
   void mvcc_publish_chains();
-  /// A read met `ver > rv_`: under LazyBump the clock may still trail `ver`,
-  /// so raise it first — otherwise the retried attempt would begin with the
-  /// same stale `rv` and livelock on the same location.
-  void note_version_ahead(Version ver) noexcept;
   /// Check that every read-set entry still holds the version observed at
   /// read time (or is locked by this transaction with that displaced
   /// version).
@@ -401,12 +397,15 @@ class Txn {
   /// all prior entries, so the cap bounds that work at O(cap) per read. A
   /// transaction past it simply uses the locked slow path for further reads.
   static constexpr std::size_t kMaxUnlockedReads = 64;
+  /// Bounded wait at a lock conflict the priority arbitration decided to
+  /// sit out (opponent weaker, or tie): rounds of ~16 relaxed spins, with a
+  /// yield every 16th round, before giving up and aborting self.
+  static constexpr unsigned kCmWaitRounds = 128;
 
   Stm& stm_;
   TxnArena& arena_;
   ChaosPolicy* chaos_;  // from StmOptions; nullptr = injection disabled
   Mode mode_;
-  ClockScheme scheme_;
   unsigned slot_;
   Stats::Counters stats_;  // initialized from slot_; keep declared after it
   Version rv_ = 0;

@@ -1,5 +1,5 @@
-// Chaos-differential matrix over contention-management policy × global-clock
-// scheme (ctest label "cm"). Every CM decision is a pure function of
+// Chaos-differential matrix over the contention-management policies (ctest
+// label "cm"). Every CM decision is a pure function of
 // published priorities — the CM consumes nothing from the chaos decision
 // streams — so fault-injected runs stay reproducible under every policy, and
 // a single-threaded run must replay bit-exactly regardless of which CM is
@@ -19,7 +19,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -125,22 +124,18 @@ MapConfig config_named(const std::string& name) {
   return {};
 }
 
-using Param = std::tuple<stm::CmPolicy, stm::ClockScheme>;
-
-class CmChaosMatrixTest : public ::testing::TestWithParam<Param> {};
+class CmChaosMatrixTest : public ::testing::TestWithParam<stm::CmPolicy> {};
 
 }  // namespace
 
 TEST_P(CmChaosMatrixTest, DifferentialUnderInjection) {
-  const auto [policy, scheme] = GetParam();
-  const std::uint64_t seed = base_seed() +
-                             static_cast<std::uint64_t>(policy) * 31 +
-                             static_cast<std::uint64_t>(scheme) * 7;
+  const stm::CmPolicy policy = GetParam();
+  const std::uint64_t seed =
+      base_seed() + static_cast<std::uint64_t>(policy) * 31;
   SCOPED_TRACE("chaos seed " + std::to_string(seed));
 
   stm::StmOptions opts;
   opts.cm_policy = policy;
-  opts.clock_scheme = scheme;
   // Small threshold so the CM × elder interplay is exercised too (injected
   // ChaosInjected aborts stay exempt from it).
   opts.cm_elder_after = 4;
@@ -171,16 +166,9 @@ TEST_P(CmChaosMatrixTest, DifferentialUnderInjection) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, CmChaosMatrixTest,
-    ::testing::Combine(::testing::Values(stm::CmPolicy::ExponentialBackoff,
-                                         stm::CmPolicy::Karma,
-                                         stm::CmPolicy::TimestampAging),
-                       ::testing::Values(stm::ClockScheme::IncOnCommit,
-                                         stm::ClockScheme::PassOnFailure,
-                                         stm::ClockScheme::LazyBump)),
-    [](const auto& info) {
-      return std::string(stm::to_string(std::get<0>(info.param))) + "_" +
-             stm::to_string(std::get<1>(info.param));
-    });
+    ::testing::Values(stm::CmPolicy::ExponentialBackoff, stm::CmPolicy::Karma,
+                      stm::CmPolicy::TimestampAging),
+    [](const auto& info) { return std::string(stm::to_string(info.param)); });
 
 TEST(CmChaosDeterminismTest, CmPolicyLeavesDecisionStreamsUntouched) {
   // The determinism contract: switching the contention manager must not
@@ -195,7 +183,6 @@ TEST(CmChaosDeterminismTest, CmPolicyLeavesDecisionStreamsUntouched) {
     stm::StmOptions opts;
     opts.chaos = &chaos;
     opts.cm_policy = policy;
-    opts.clock_scheme = stm::ClockScheme::PassOnFailure;
     auto map = config_named("lazy_memo_lazystm").make_with(opts);
     proust::Xoshiro256 rng(seed);
     for (int i = 0; i < 300; ++i) {

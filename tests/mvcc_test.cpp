@@ -283,30 +283,24 @@ TEST(MvccTest, WritersStillConflictAndRetryCorrectly) {
   EXPECT_EQ(counter.unsafe_ref(), long{kThreads} * kIters);
 }
 
-TEST(MvccTest, MvccWorksAcrossModesAndClockSchemes) {
+TEST(MvccTest, MvccWorksAcrossModes) {
   for (const Mode mode : {Mode::Lazy, Mode::EagerWrite, Mode::EagerAll}) {
-    for (const ClockScheme cs : {ClockScheme::IncOnCommit,
-                                 ClockScheme::PassOnFailure,
-                                 ClockScheme::LazyBump}) {
-      StmOptions o = mvcc_options();
-      o.clock_scheme = cs;
-      Stm stm(mode, o);
-      Var<long> x(1), y(2);
+    Stm stm(mode, mvcc_options());
+    Var<long> x(1), y(2);
 
-      for (long i = 0; i < 50; ++i) {
-        stm.atomically([&](Txn& tx) {
-          tx.write(x, tx.read(x) + 1);
-          tx.write(y, tx.read(y) + 1);
-        });
-      }
-      long sx = 0, sy = 0;
-      stm.atomically_ro([&](Txn& tx) {
-        sx = tx.read(x);
-        sy = tx.read(y);
+    for (long i = 0; i < 50; ++i) {
+      stm.atomically([&](Txn& tx) {
+        tx.write(x, tx.read(x) + 1);
+        tx.write(y, tx.read(y) + 1);
       });
-      EXPECT_EQ(sx, 51);
-      EXPECT_EQ(sy, 52);
-      EXPECT_GT(stm.stats().snapshot().ro_commits, 0u);
     }
+    long sx = 0, sy = 0;
+    stm.atomically_ro([&](Txn& tx) {
+      sx = tx.read(x);
+      sy = tx.read(y);
+    });
+    EXPECT_EQ(sx, 51);
+    EXPECT_EQ(sy, 52);
+    EXPECT_GT(stm.stats().snapshot().ro_commits, 0u);
   }
 }
