@@ -336,7 +336,7 @@ const Preset kPresets[] = {
               .us = {1},
               .key_ranges = {32},
               .os = {8},
-              .cms = {"backoff", "none", "karma", "aging"}},
+              .cms = {"backoff", "aging"}},
      .ops = 40000,
      .warmup = 1,
      .runs = 2},
@@ -453,8 +453,7 @@ struct Cell {
 
 stm::CmPolicy parse_cm(const std::string& s) {
   for (stm::CmPolicy p :
-       {stm::CmPolicy::ExponentialBackoff, stm::CmPolicy::None,
-        stm::CmPolicy::Karma, stm::CmPolicy::TimestampAging}) {
+       {stm::CmPolicy::ExponentialBackoff, stm::CmPolicy::TimestampAging}) {
     if (stm::to_string(p) == s) return p;
   }
   throw std::invalid_argument("unknown cm policy '" + s + "'");

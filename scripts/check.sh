@@ -27,8 +27,8 @@ echo "== chaos: deterministic fault-injection suites =="
 ctest --test-dir build --output-on-failure -L chaos
 
 echo "== cm: contention-management suites =="
-# Policy algebra, elder starvation recovery, watchdog, and the per-policy
-# CM chaos matrix (same seed-replay contract).
+# Aging priority and arbitration, elder starvation recovery, watchdog, and
+# the two-policy CM chaos matrix (same seed-replay contract).
 ctest --test-dir build --output-on-failure -L cm
 
 echo "== mvcc: snapshot reads + epoch reclamation =="

@@ -1,27 +1,25 @@
-// Pluggable contention management (§7): the policy layer that decides what a
-// transaction does between attempts AND what it does the moment it detects a
-// conflict — the coupling the paper's §7 laments is usually missing.
+// Contention management (§7): what a transaction does between attempts AND
+// what it does the moment it detects a conflict — the coupling the paper's
+// §7 laments is usually missing.
 //
-// Two cooperating pieces:
+// Two policies (StmOptions::cm_policy):
 //
-//   ContentionManager — the policy interface. Backoff/None are the
-//     trivial inter-attempt policies (requester-aborts at conflicts, exactly
-//     the pre-existing behavior); Karma weighs priority by work performed
-//     (reads + writes across the call's aborted attempts); TimestampAging is
-//     oldest-transaction-wins. A policy that `tracks()` publishes per-slot
-//     state in the CmState priority table so opponents can consult it.
+//   ExponentialBackoff — the paper's baseline and the default: conflicts are
+//     resolved requester-aborts and the retry sleeps a randomized, bounded
+//     exponential backoff. Nothing is published; the hot path carries one
+//     never-taken branch per CM gate.
 //
-//   CmState — a per-Stm, per-thread-slot, cache-line-padded priority table
-//     plus the "elder" word. Each active call publishes {token, priority,
-//     birth, attempts, held stripes}; a conflicting transaction reads its
-//     opponent's cell and the arbitration decides wait vs. abort-self vs.
-//     request-abort (a `doom` flag the victim polls at its next read/write/
-//     commit gate — never past its commit point). A call whose eligible
-//     attempt count passes StmOptions::cm_elder_after publishes itself as
-//     the elder: committers defer briefly (bounded by cm_elder_yield) and
-//     lock waiters shed (sync/cm_hook.hpp), giving the starving transaction
-//     a clean window — the runtime's one per-transaction starvation bound,
-//     and it serializes nothing.
+//   TimestampAging — oldest-transaction-wins. Each call publishes its state
+//     in the CmState table below; a conflicting transaction compares its
+//     priority (the call's birth stamp, or 0 for the elder) against its
+//     opponent's and either aborts itself, waits (bounded), or requests the
+//     opponent's abort (a `doom` flag the victim polls at its next read/
+//     write/commit gate — never past its commit point). A call whose
+//     eligible attempt count passes StmOptions::cm_elder_after publishes
+//     itself as the elder: committers defer briefly (bounded by
+//     cm_elder_yield) and lock waiters shed (sync/cm_hook.hpp), giving the
+//     starving transaction a clean window — the runtime's one per-
+//     transaction starvation bound, and it serializes nothing.
 //
 // Every decision here is a pure function of published priorities — no
 // randomness — so chaos runs stay deterministic (the CM consumes nothing
@@ -31,11 +29,8 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
-#include "common/backoff.hpp"
 #include "stm/fwd.hpp"
-#include "stm/options.hpp"
 #include "stm/thread_registry.hpp"
 #include "sync/cm_hook.hpp"
 
@@ -43,6 +38,30 @@ namespace proust::stm {
 
 /// Weakest possible priority (idle slots park here; lower = stronger).
 inline constexpr std::uint64_t kCmIdlePriority = ~std::uint64_t{0};
+
+/// An aging call's priority: its birth stamp, which totally orders every
+/// pair of calls (a starving transaction eventually outranks all
+/// newcomers), or 0 — the strongest key — while it is the published elder.
+constexpr std::uint64_t cm_priority(std::uint64_t birth, bool elder) noexcept {
+  return elder ? 0 : birth;
+}
+
+/// What the arbitration tells the transaction that detected the conflict.
+enum class CmDecision : std::uint8_t {
+  kAbortSelf,   // yield to the opponent (classic requester-aborts)
+  kWait,        // sit out a bounded wait, retry, abort self if it persists
+  kAbortOther,  // doom the opponent, then wait (bounded) for it to release
+};
+
+/// Oldest wins: the stronger (lower) key dooms the weaker. Distinct calls
+/// never tie on birth, so kWait only arises against a boosted (priority 0)
+/// peer.
+constexpr CmDecision cm_arbitrate(std::uint64_t self_pri,
+                                  std::uint64_t opp_pri) noexcept {
+  if (self_pri < opp_pri) return CmDecision::kAbortOther;
+  if (self_pri > opp_pri) return CmDecision::kAbortSelf;
+  return CmDecision::kWait;
+}
 
 /// One registry slot's published contention state. Written by the slot's
 /// running transaction at attempt boundaries (its own cache line — cheap),
@@ -65,9 +84,17 @@ struct alignas(kCacheLine) CmSlot {
   std::atomic<std::uint32_t> stripes{0};  // abstract-lock stripes held
 };
 
-/// The per-Stm priority table plus the elder word.
-class CmState {
+/// The per-Stm priority table plus the elder word. Also the sync-layer wait
+/// arbiter, so the abstract locks' park loops can consult the elder
+/// protocol (install explicitly — the hook is process-global, like the
+/// chaos lock hook).
+class CmState final : public sync::CmLockArbiter {
  public:
+  CmState() = default;
+  CmState(const CmState&) = delete;
+  CmState& operator=(const CmState&) = delete;
+  ~CmState() override { remove_lock_arbiter(); }
+
   CmSlot& slot(unsigned i) noexcept { return slots_[i]; }
   const CmSlot& slot(unsigned i) const noexcept { return slots_[i]; }
 
@@ -112,54 +139,12 @@ class CmState {
   }
 
   /// Call-unique birth stamp (monotone, nonzero): doubles as the doom token
-  /// and as the age key for TimestampAging. One shared fetch_add per
-  /// atomically() call, only under a tracking policy.
+  /// and as the age key. One shared fetch_add per aging atomically() call.
   std::uint64_t next_birth() noexcept {
     return births_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
- private:
-  std::array<CmSlot, ThreadRegistry::kMaxSlots> slots_{};
-  alignas(kCacheLine) std::atomic<std::uint32_t> elder_{0};
-  alignas(kCacheLine) std::atomic<std::uint64_t> births_{0};
-};
-
-/// What the arbitration tells the transaction that detected the conflict.
-enum class CmDecision : std::uint8_t {
-  kAbortSelf,   // yield to the opponent (classic requester-aborts)
-  kWait,        // sit out a bounded wait, retry, abort self if it persists
-  kAbortOther,  // doom the opponent, then wait (bounded) for it to release
-};
-
-/// The contention-manager interface. One instance per Stm, created from
-/// StmOptions; also implements the sync-layer wait arbiter so the abstract
-/// locks' park loops can consult the elder protocol (install explicitly —
-/// the hook is process-global, like the chaos lock hook).
-class ContentionManager : public sync::CmLockArbiter {
- public:
-  ~ContentionManager() override;
-
-  virtual const char* name() const noexcept = 0;
-
-  /// Whether transactions of this policy publish CmSlot state (and poll
-  /// doom flags). False keeps the pre-CM hot path untouched.
-  bool tracking() const noexcept { return tracking_; }
-
-  /// Priority key for an attempt (lower = stronger). `birth` is the call's
-  /// first-attempt stamp, `karma` the work accumulated across its aborted
-  /// attempts.
-  virtual std::uint64_t priority(std::uint64_t birth,
-                                 std::uint64_t karma) const noexcept;
-
-  /// Arbitrate a detected conflict: self vs. the opposing lock holder's
-  /// published priority.
-  virtual CmDecision arbitrate(std::uint64_t self_pri,
-                               std::uint64_t opp_pri) const noexcept;
-
-  /// Inter-attempt pause after an aborted attempt.
-  virtual void pause(Backoff& backoff) = 0;
-
-  /// Install/remove this manager as the process-wide abstract-lock wait
+  /// Install/remove this table as the process-wide abstract-lock wait
   /// arbiter (sync/cm_hook.hpp): parked waiters shed while an elder is
   /// published so its abstract locks drain. One arbiter at a time; install
   /// before spawning workers, remove (or destroy the Stm) after joining.
@@ -174,22 +159,27 @@ class ContentionManager : public sync::CmLockArbiter {
     }
   }
 
-  sync::CmWaitVerdict on_contended_park(const void* lock, bool write,
-                                        unsigned round) noexcept override;
+  sync::CmWaitVerdict on_contended_park(const void* /*lock*/, bool /*write*/,
+                                        unsigned round) noexcept override {
+    const unsigned e = elder();
+    // No elder, or we are it (the elder itself never sheds): park as usual.
+    if (e == 0 || e == ThreadRegistry::slot() + 1) {
+      return sync::CmWaitVerdict::kKeepWaiting;
+    }
+    // A starving elder is published: shed this wait queue after one park so
+    // the locks the elder needs drain instead of growing new waiters. The
+    // give-up surfaces as an acquisition timeout — abort, release, retry —
+    // which is exactly the recovery the elder window needs from everyone
+    // else.
+    return round >= 1 ? sync::CmWaitVerdict::kGiveUp
+                      : sync::CmWaitVerdict::kKeepWaiting;
+  }
 
- protected:
-  ContentionManager(CmState& state, bool tracking) noexcept
-      : state_(&state), tracking_(tracking) {}
-
-  CmState* state_;
-  bool tracking_;
+ private:
+  std::array<CmSlot, ThreadRegistry::kMaxSlots> slots_{};
+  alignas(kCacheLine) std::atomic<std::uint32_t> elder_{0};
+  alignas(kCacheLine) std::atomic<std::uint64_t> births_{0};
   bool arbiter_installed_ = false;
 };
-
-/// Build the manager for `options.cm_policy` over `state`. Never null; the
-/// trivial policies return a non-tracking manager unless
-/// `options.cm_progress_tracking` asks for watchdog-grade diagnostics.
-std::unique_ptr<ContentionManager> make_contention_manager(
-    const StmOptions& options, CmState& state);
 
 }  // namespace proust::stm

@@ -18,7 +18,6 @@ class Txn;
 class VarBase;
 class ChaosPolicy;
 class CommitFence;
-class ContentionManager;
 struct CmSlot;
 class CmState;
 class MvccState;

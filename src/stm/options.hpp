@@ -14,33 +14,24 @@
 
 namespace proust::stm {
 
-/// Contention management: what a transaction does after an aborted attempt,
-/// and — for the priority policies — how a detected conflict is arbitrated
-/// against the opposing transaction (wait / abort-self / request-abort, see
-/// stm/contention.hpp and DESIGN.md §10).
+/// Contention management: what a transaction does after an aborted attempt
+/// and how a detected conflict is arbitrated against the opposing
+/// transaction (see stm/contention.hpp and DESIGN.md §10).
 enum class CmPolicy : std::uint8_t {
-  /// Randomized exponential backoff (default; what the evaluation uses).
-  /// Conflicts are resolved requester-aborts, as in classic TL2.
+  /// Randomized exponential backoff (default; the paper's baseline and what
+  /// the evaluation uses). Conflicts are resolved requester-aborts, as in
+  /// classic TL2, and no per-slot state is published.
   ExponentialBackoff,
-  /// Retry immediately. Maximal livelock exposure; useful as the ablation
-  /// baseline for the CM bench.
-  None,
-  /// Work-weighted priority ("Karma"): a transaction's accumulated reads +
-  /// writes across its aborted attempts raise its priority, so the side that
-  /// has invested more work wins conflicts. Ties wait briefly, then yield.
-  Karma,
   /// Oldest-transaction-wins: priority is the call's first-attempt stamp, so
   /// age strictly orders every pair of transactions and a starving one
-  /// eventually outranks all newcomers (per-transaction starvation bound —
-  /// see the elder protocol in DESIGN.md §10).
+  /// eventually outranks all newcomers; the elder protocol (DESIGN.md §10)
+  /// bounds each call's attempts. Also backs off between attempts.
   TimestampAging,
 };
 
 constexpr const char* to_string(CmPolicy p) noexcept {
   switch (p) {
     case CmPolicy::ExponentialBackoff: return "backoff";
-    case CmPolicy::None: return "none";
-    case CmPolicy::Karma: return "karma";
     case CmPolicy::TimestampAging: return "aging";
   }
   return "?";
@@ -51,20 +42,18 @@ struct StmOptions {
 
   // --- Multi-version snapshot reads (DESIGN.md §11) ------------------------
   /// Keep a short per-Var version chain at every writing commit so that
-  /// read-only transactions (declared via Stm::atomically_ro, or detected —
-  /// see mvcc_auto_readonly) read a consistent start-timestamp snapshot with
+  /// read-only transactions read a consistent start-timestamp snapshot with
   /// no read set, no validation and no aborts, regardless of concurrent
-  /// writers. Writers pay one pool node push per overwritten var plus chain
-  /// truncation against the minimum active snapshot; chains are reclaimed
-  /// through epoch-based reclamation (common/ebr.hpp). Off by default —
-  /// non-MVCC configs take one never-taken branch on the read path and pay
-  /// nothing at commit.
+  /// writers. A call is a snapshot reader when declared via
+  /// Stm::atomically_ro, or — detected — from the retry after an attempt
+  /// that aborted without doing anything writer-shaped (a snapshot attempt
+  /// that turns out to write is demoted/retried as a writer, see
+  /// AbortReason::MvccPromote). Writers pay one pool node push per
+  /// overwritten var plus chain truncation against the minimum active
+  /// snapshot; chains are reclaimed through epoch-based reclamation
+  /// (common/ebr.hpp). Off by default — non-MVCC configs take one
+  /// never-taken branch on the read path and pay nothing at commit.
   bool mvcc = false;
-  /// With mvcc on: when an attempt aborts without having buffered any write,
-  /// the retry runs in snapshot mode automatically (callers do not have to
-  /// declare read-only intent to benefit). A snapshot attempt that turns out
-  /// to write is demoted/retried as a writer — see AbortReason::MvccPromote.
-  bool mvcc_auto_readonly = true;
 
   // --- Lock-free optimistic read fast path (DESIGN.md §12) -----------------
   /// Let the Proust wrappers serve read-only operations (get/contains/peek)
@@ -80,7 +69,7 @@ struct StmOptions {
   /// read path is then used exclusively and pays one never-taken branch.
   bool optimistic_reads = false;
 
-  // --- Priority contention management (Karma / TimestampAging) ------------
+  // --- Elder protocol (CmPolicy::TimestampAging) ---------------------------
   /// Eligible (non-chaos) aborted attempts after which a transaction
   /// requests starvation recovery: it publishes itself as the STM's "elder"
   /// and committers defer to it briefly (see cm_elder_yield). Bounds the
@@ -89,11 +78,6 @@ struct StmOptions {
   /// How long a committing transaction defers to a published elder before
   /// proceeding anyway. Bounded, so a wedged elder cannot stall commits.
   std::chrono::nanoseconds cm_elder_yield = std::chrono::microseconds(250);
-  /// Publish per-slot priority/diagnostic state even under the trivial
-  /// policies (backoff/none). Required for the progress watchdog's per-slot
-  /// stall reports and for the elder protocol when no priority CM is
-  /// active; the priority policies always track.
-  bool cm_progress_tracking = false;
 
   /// Invoked by a Watchdog (stm/watchdog.hpp) when it detects a stalled
   /// commit epoch. Called from the watchdog thread; must not run

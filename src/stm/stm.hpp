@@ -34,8 +34,7 @@ namespace proust::stm {
 class Stm {
  public:
   explicit Stm(Mode mode = Mode::Lazy, StmOptions options = {})
-      : mode_(mode), options_(options),
-        cm_(make_contention_manager(options_, cm_state_)), id_(next_id()) {
+      : mode_(mode), options_(options), id_(next_id()) {
     if (options_.mvcc) {
       mvcc_ = std::make_unique<MvccState>(ThreadRegistry::kMaxSlots,
                                           options_.numa_placement);
@@ -61,9 +60,9 @@ class Stm {
   const StmOptions& options() const noexcept { return options_; }
   Stats& stats() noexcept { return stats_; }
 
-  /// The contention-management subsystem (stm/contention.hpp): the policy
-  /// object and the per-slot priority table.
-  ContentionManager& cm() noexcept { return *cm_; }
+  /// The contention-management table (stm/contention.hpp): per-slot
+  /// priorities, the elder word, and the abstract-lock wait arbiter. Only
+  /// TimestampAging calls publish into it.
   CmState& cm_state() noexcept { return cm_state_; }
 
   /// Multi-version snapshot state, or nullptr when StmOptions::mvcc is off
@@ -108,8 +107,8 @@ class Stm {
   }
 
   /// Run `body(Txn&)` atomically, retrying on conflict under the configured
-  /// contention manager. Re-entrant calls on the same thread join the
-  /// enclosing transaction (flat nesting). User exceptions abort the
+  /// contention-management policy. Re-entrant calls on the same thread join
+  /// the enclosing transaction (flat nesting). User exceptions abort the
   /// transaction (inverses/finish hooks run) and propagate.
   template <class F>
   auto atomically(F&& body) -> std::invoke_result_t<F&, Txn&> {
@@ -192,13 +191,11 @@ class Stm {
             .count());
   }
 
-  /// Inter-attempt pause, delegated to the contention manager. Timed into
-  /// stats except under CmPolicy::None, whose whole point is a zero-cost
-  /// immediate retry.
+  /// Inter-attempt pause: bounded exponential backoff under both policies,
+  /// timed into stats.
   void pause_between_attempts(unsigned slot, Backoff& backoff) {
-    if (options_.cm_policy == CmPolicy::None) return;
     const std::uint64_t t0 = steady_now_ns();
-    cm_->pause(backoff);
+    backoff.pause();
     stats_.counters(slot).add<Stat::backoff_ns>(steady_now_ns() - t0);
   }
 
@@ -250,7 +247,6 @@ class Stm {
   StmOptions options_;
   Stats stats_;
   CmState cm_state_;
-  std::unique_ptr<ContentionManager> cm_;
   std::unique_ptr<MvccState> mvcc_;
   std::uint64_t id_;
 };

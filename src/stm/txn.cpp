@@ -48,8 +48,7 @@ Txn::Txn(Stm& stm)
          "arena not reset by the previous transaction");
   assert(ebr::debug_guard_depth() == 0 &&
          "EBR guard leaked into a transaction");
-  if (stm.cm().tracking()) {
-    cm_ = &stm.cm();
+  if (stm.options().cm_policy == CmPolicy::TimestampAging) {
     cm_cell_ = &stm.cm_state().slot(slot_);
   }
   optimistic_reads_ = stm.options().optimistic_reads;
@@ -109,7 +108,7 @@ void Txn::cm_begin_attempt() {
   // The published elder runs at the strongest priority: everyone else's
   // arbitration yields to it, which is what makes its recovery window
   // converge.
-  cm_pri_ = st.elder() == slot_ + 1 ? 0 : cm_->priority(cm_token_, karma_);
+  cm_pri_ = cm_priority(cm_token_, st.elder() == slot_ + 1);
   cm_cell_->priority.store(cm_pri_, std::memory_order_release);
   cm_cell_->attempts.store(attempt_, std::memory_order_relaxed);
   cm_cell_->stripes.store(0, std::memory_order_relaxed);
@@ -150,7 +149,7 @@ bool Txn::cm_lock_conflict(const Orec& orec) {
   CmSlot& opp_cell = st.slot(opp);
   const std::uint64_t opp_pri =
       opp_cell.priority.load(std::memory_order_acquire);
-  const CmDecision decision = cm_->arbitrate(cm_pri_, opp_pri);
+  const CmDecision decision = cm_arbitrate(cm_pri_, opp_pri);
   if (decision == CmDecision::kAbortSelf) return false;
   if (decision == CmDecision::kAbortOther) {
     const std::uint64_t opp_token =
@@ -438,9 +437,9 @@ void Txn::write_impl(VarBase& var, const void* src, std::size_t size) {
   }
 
   // Eager modes: encounter-time lock acquisition. The base policy is
-  // requester-aborts (abort-on-busy keeps the protocol deadlock-free); a
-  // priority contention manager may instead doom a weaker owner or sit out
-  // a bounded wait before the abort (cm_lock_conflict).
+  // requester-aborts (abort-on-busy keeps the protocol deadlock-free);
+  // TimestampAging may instead doom a younger owner or sit out a bounded
+  // wait before the abort (cm_lock_conflict).
   chaos_point(ChaosPoint::CommitLock);
   int cm_retries = 4;
   while (!var.orec_.try_lock(&e.lock)) {
@@ -731,7 +730,7 @@ void Txn::commit() {
   const std::size_t nwrites = arena_.writes.size();
   if (mode_ == Mode::Lazy) {
     // Commit-time locking, arbitrary order, abort-on-busy (deadlock-free;
-    // a priority CM may arbitrate a lost race first — cm_lock_conflict —
+    // TimestampAging may arbitrate a lost race first — cm_lock_conflict —
     // which can only shorten the conflict, never block unboundedly).
     int cm_retries = 4;
     for (std::size_t i = 0; i < nwrites; ++i) {
@@ -936,13 +935,13 @@ void Txn::rollback(AbortReason reason) noexcept {
       mvcc_state_->reader_end(slot_);
       mvcc_reader_ = false;
     }
-    // Auto-detection (StmOptions::mvcc_auto_readonly): an attempt that
-    // aborted without doing anything writer-shaped — no buffered or eager
-    // writes, no commit-locked/abort hooks, no abstract-lock stripes, no
-    // validated reads (flagged via mvcc_ineligible_) — retries in snapshot
-    // mode, where it cannot conflict again.
-    if (!mvcc_ineligible_ && stm_.options().mvcc_auto_readonly &&
-        arena_.writes.empty() && arena_.commit_locked_hooks.empty() &&
+    // Auto-detection: an attempt that aborted without doing anything
+    // writer-shaped — no buffered or eager writes, no commit-locked/abort
+    // hooks, no abstract-lock stripes, no validated reads (flagged via
+    // mvcc_ineligible_) — retries in snapshot mode, where it cannot conflict
+    // again.
+    if (!mvcc_ineligible_ && arena_.writes.empty() &&
+        arena_.commit_locked_hooks.empty() &&
         arena_.abort_hooks.empty() && arena_.lock_holds.empty() &&
         arena_.seq_reads.empty() && arena_.fence_reads.empty() &&
         arena_.seq_holds.empty()) {
@@ -951,13 +950,6 @@ void Txn::rollback(AbortReason reason) noexcept {
       // come from the pinned snapshot anyway).
       mvcc_try_snapshot_ = true;
     }
-  }
-  if (cm_cell_ != nullptr) {
-    // Karma: work this aborted attempt performed and will redo. Counted
-    // from the attempt's logs (free — no per-access counter): read set +
-    // write set + visible-reader marks (EagerAll logs no reads).
-    karma_ += arena_.reads.size() + arena_.writes.size() +
-              arena_.reader_marks.size();
   }
 
   // Proust inverse operations: reverse order, while this transaction's STM

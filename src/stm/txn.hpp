@@ -268,10 +268,10 @@ class Txn {
   ChaosPolicy* chaos() const noexcept { return chaos_; }
 
   // --- Contention-management gates (stm/contention.hpp) -------------------
-  // All no-ops (one predictable branch) unless the Stm's contention manager
-  // tracks per-slot state (priority policies, or cm_progress_tracking).
+  // All no-ops (one predictable branch) unless the Stm runs
+  // CmPolicy::TimestampAging, whose calls publish per-slot state.
 
-  /// Honor a pending abort request from a higher-priority transaction
+  /// Honor a pending abort request from an older transaction
   /// (throws ConflictAbort{CmKilled}). Wrapper layers (the LAPs) call this
   /// at their own long-wait points; the STM's internal paths poll in
   /// txn.cpp. Never fires past the commit point.
@@ -362,11 +362,12 @@ class Txn {
   bool chaos_timeout_hit(ChaosPoint p);
   void chaos_delay_only(ChaosPoint p) noexcept;
   /// Publish this attempt's CM state (token/birth on the first attempt,
-  /// recomputed priority each attempt, elder promotion past the threshold).
+  /// elder promotion past the threshold, then the priority: 0 as the elder,
+  /// else the birth stamp).
   void cm_begin_attempt();
   /// Retire the call's CM cell (token cleared, elder claim dropped).
   void cm_end_call() noexcept;
-  /// Throw ConflictAbort{CmKilled} if a stronger transaction doomed us.
+  /// Throw ConflictAbort{CmKilled} if an older transaction doomed us.
   void cm_check_doom();
   /// Arbitrate a lost lock race on `orec` against its current owner.
   /// Returns true when the lock drained (the caller should re-attempt the
@@ -397,8 +398,8 @@ class Txn {
   /// all prior entries, so the cap bounds that work at O(cap) per read. A
   /// transaction past it simply uses the locked slow path for further reads.
   static constexpr std::size_t kMaxUnlockedReads = 64;
-  /// Bounded wait at a lock conflict the priority arbitration decided to
-  /// sit out (opponent weaker, or tie): rounds of ~16 relaxed spins, with a
+  /// Bounded wait at a lock conflict the arbitration decided to sit out
+  /// (opponent weaker, or tie): rounds of ~16 relaxed spins, with a
   /// yield every 16th round, before giving up and aborting self.
   static constexpr unsigned kCmWaitRounds = 128;
 
@@ -411,13 +412,12 @@ class Txn {
   Version rv_ = 0;
   unsigned attempt_ = 0;
   unsigned eligible_attempts_ = 0;
-  // Contention-management state; cm_cell_ == nullptr gates every CM code
-  // path, so non-tracking policies keep the pre-CM hot path bit-for-bit.
-  ContentionManager* cm_ = nullptr;
+  // Contention-management state; cm_cell_ == nullptr (ExponentialBackoff)
+  // gates every CM code path, so the default keeps the pre-CM hot path
+  // bit-for-bit.
   CmSlot* cm_cell_ = nullptr;
   std::uint64_t cm_token_ = 0;  // call-unique birth stamp; doom compares it
   std::uint64_t cm_pri_ = ~std::uint64_t{0};
-  std::uint64_t karma_ = 0;  // reads+writes across this call's aborted attempts
   bool active_ = false;
   bool snapshot_frozen_ = false;
   bool optimistic_reads_ = false;  // StmOptions::optimistic_reads, cached

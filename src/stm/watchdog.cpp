@@ -77,8 +77,8 @@ void Watchdog::run() {
     }
 
     // Epoch is flat. Is anyone actually trying? Two signals: active cells
-    // in the CM slot table (tracking policies publish them), and attempt
-    // starts advancing with zero commits landing (works for every policy).
+    // in the CM slot table (TimestampAging publishes them), and attempt
+    // starts advancing with zero commits landing (works for both policies).
     StallReport r;
     CmState& cm = stm_.cm_state();
     const unsigned slots = ThreadRegistry::high_water();
@@ -116,8 +116,8 @@ void Watchdog::run() {
     r.starts = snap.starts;
     if (const ChaosPolicy* c = stm_.options().chaos) r.chaos_seed = c->seed();
     // Escalate: crown the oldest active call as the elder. Committers then
-    // defer to it and lock waiters shed — the priority policies' own
-    // starvation-recovery window, applied by force. Requires a tracking CM
+    // defer to it and lock waiters shed — TimestampAging's own
+    // starvation-recovery window, applied by force. Requires TimestampAging
     // (otherwise no cell carries a birth to rank by).
     if (cfg_.escalate && oldest_slot != ~0u) {
       cm.force_elder(oldest_slot);

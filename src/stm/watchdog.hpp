@@ -1,17 +1,23 @@
 // Progress watchdog: an optional sentinel thread that watches one Stm for a
 // commit epoch that stops advancing while transactions are still active —
 // the observable signature of livelock or of a user transaction stuck inside
-// its body. Detection is entirely passive
-// (periodic stats snapshots plus reads of the contention-management slot
-// table); nothing on the transaction hot path knows the watchdog exists.
+// its body. Detection is entirely passive (periodic stats snapshots plus
+// reads of the contention-management slot table); nothing on the
+// transaction hot path knows the watchdog exists.
 //
 // On a stall the watchdog assembles a StallReport — per-slot diagnostics
 // (attempt counts, held abstract-lock stripes, call age) and the chaos seed
-// when fault injection is active so the hang is replayable — and delivers it to StmOptions::on_stall (stderr when
-// unset). It then escalates by crowning the *oldest* active transaction as
-// the contention manager's elder (CmState::force_elder): committers defer
-// to it and lock waiters shed, the same starvation-recovery protocol the
-// priority policies use, applied by force.
+// when fault injection is active so the hang is replayable — and delivers
+// it to StmOptions::on_stall (stderr when unset). It then escalates by
+// crowning the *oldest* active transaction as the elder
+// (CmState::force_elder): committers defer to it and lock waiters shed, the
+// same starvation-recovery protocol TimestampAging runs, applied by force.
+//
+// The slot table is only populated under CmPolicy::TimestampAging. Under
+// the default ExponentialBackoff the watchdog sees the counters alone: it
+// detects a stall as attempt starts advancing while no commit lands (a
+// livelock), reports no per-slot entries, and cannot escalate; a single
+// call stuck inside its body starts nothing and goes unreported.
 #pragma once
 
 #include <atomic>
@@ -42,7 +48,7 @@ struct StallReport {
   std::uint64_t starts = 0;      // begun attempts at detection time
   std::uint64_t chaos_seed = 0;  // replay seed; 0 = no chaos policy active
   unsigned boosted_slot = ~0u;   // slot escalated to elder, or ~0u
-  std::vector<SlotInfo> active;  // active slots (tracking CM only)
+  std::vector<SlotInfo> active;  // active slots (TimestampAging only)
 
   std::string to_string() const;
 };

@@ -1,11 +1,11 @@
-// Contention-management subsystem tests (ctest label "cm"): the policy
-// factory and priority algebra, the elder starvation-recovery protocol, the
-// per-call attempt histogram, the stats schema (aggregation, reset, text and
-// JSON output), and the progress watchdog — plus the
-// starvation regression the subsystem exists for: a long read-mostly
-// transaction racing a swarm of small writers completes within a bounded
-// number of attempts, under the priority policies and under plain backoff
-// with progress tracking on, because the elder protocol bounds it.
+// Contention-management subsystem tests (ctest label "cm"): which policy
+// publishes slot state, the aging priority and arbitration rules, the elder
+// starvation-recovery protocol, the per-call attempt histogram, the stats
+// schema (aggregation, reset, text and JSON output), and the progress
+// watchdog — plus the starvation regression the subsystem exists for: a
+// long read-mostly transaction racing a swarm of small writers completes
+// within a bounded number of attempts under TimestampAging, in every
+// conflict-detection mode, because the elder protocol bounds it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -322,74 +322,47 @@ TEST(StatsSchemaTest, SnapshotRacesACountingThread) {
   EXPECT_EQ(s.mvcc_chain_max, kEvents - 1);
 }
 
-// --- Policy factory and priority algebra -------------------------------------
+// --- Policies, priority and arbitration -------------------------------------
 
-TEST(ContentionPolicyTest, FactoryNamesAndTrackingFlags) {
-  CmState st;
-  const struct {
-    CmPolicy policy;
-    const char* name;
-    bool tracking;
-  } cases[] = {
-      {CmPolicy::ExponentialBackoff, "backoff", false},
-      {CmPolicy::None, "none", false},
-      {CmPolicy::Karma, "karma", true},
-      {CmPolicy::TimestampAging, "aging", true},
-  };
-  for (const auto& c : cases) {
+TEST(ContentionPolicyTest, OnlyAgingPublishesSlotState) {
+  EXPECT_STREQ(to_string(CmPolicy::ExponentialBackoff), "backoff");
+  EXPECT_STREQ(to_string(CmPolicy::TimestampAging), "aging");
+  for (CmPolicy p : {CmPolicy::ExponentialBackoff, CmPolicy::TimestampAging}) {
     StmOptions o;
-    o.cm_policy = c.policy;
-    auto cm = make_contention_manager(o, st);
-    ASSERT_NE(cm, nullptr);
-    EXPECT_STREQ(cm->name(), c.name);
-    EXPECT_EQ(cm->tracking(), c.tracking) << c.name;
+    o.cm_policy = p;
+    Stm stm(Mode::Lazy, o);
+    Var<long> v(0);
+    std::uint64_t token = 0;
+    std::uint64_t pri = 0;
+    stm.atomically([&](Txn& tx) {
+      tx.write(v, 1);
+      const CmSlot& cell = stm.cm_state().slot(tx.slot());
+      token = cell.token.load();
+      pri = cell.priority.load();
+    });
+    if (p == CmPolicy::TimestampAging) {
+      EXPECT_NE(token, 0u);
+      EXPECT_EQ(pri, token);  // a fresh call's priority is its birth stamp
+    } else {
+      // Backoff publishes nothing: requester-aborts, no arbitration.
+      EXPECT_EQ(token, 0u);
+      EXPECT_EQ(pri, kCmIdlePriority);
+    }
+    EXPECT_EQ(stm.cm_state().slot(ThreadRegistry::slot()).token.load(), 0u);
   }
-  // The watchdog can ask even trivial policies to publish slot state.
-  StmOptions o;
-  o.cm_policy = CmPolicy::ExponentialBackoff;
-  o.cm_progress_tracking = true;
-  EXPECT_TRUE(make_contention_manager(o, st)->tracking());
-}
-
-TEST(ContentionPolicyTest, KarmaPriorityStrengthensWithWork) {
-  CmState st;
-  StmOptions o;
-  o.cm_policy = CmPolicy::Karma;
-  auto cm = make_contention_manager(o, st);
-  const std::uint64_t fresh = cm->priority(/*birth=*/7, /*karma=*/0);
-  const std::uint64_t worked = cm->priority(7, 1000);
-  EXPECT_LT(worked, fresh);  // lower = stronger
-  // An active transaction is always at least marginally stronger than an
-  // idle slot, and saturated karma never wraps past the strongest key.
-  EXPECT_LT(fresh, kCmIdlePriority);
-  EXPECT_EQ(cm->priority(7, ~std::uint64_t{0}), 0u);
 }
 
 TEST(ContentionPolicyTest, AgingPriorityIsBirthStamp) {
-  CmState st;
-  StmOptions o;
-  o.cm_policy = CmPolicy::TimestampAging;
-  auto cm = make_contention_manager(o, st);
-  EXPECT_EQ(cm->priority(3, 0), 3u);
-  EXPECT_EQ(cm->priority(3, 999), 3u);  // karma is irrelevant to age
-  EXPECT_LT(cm->priority(3, 0), cm->priority(4, 0));  // older = stronger
+  EXPECT_EQ(cm_priority(/*birth=*/3, /*elder=*/false), 3u);
+  EXPECT_LT(cm_priority(3, false), cm_priority(4, false));  // older = stronger
+  EXPECT_EQ(cm_priority(3, /*elder=*/true), 0u);  // the elder outranks all
+  EXPECT_LT(cm_priority(3, false), kCmIdlePriority);
 }
 
 TEST(ContentionPolicyTest, ArbitrationFavorsTheStrongerKey) {
-  CmState st;
-  for (CmPolicy p : {CmPolicy::Karma, CmPolicy::TimestampAging}) {
-    StmOptions o;
-    o.cm_policy = p;
-    auto cm = make_contention_manager(o, st);
-    EXPECT_EQ(cm->arbitrate(/*self=*/5, /*opp=*/10), CmDecision::kAbortOther);
-    EXPECT_EQ(cm->arbitrate(10, 5), CmDecision::kAbortSelf);
-    EXPECT_EQ(cm->arbitrate(5, 5), CmDecision::kWait);
-  }
-  // Trivial policies keep the pre-CM requester-aborts behavior.
-  StmOptions o;
-  o.cm_policy = CmPolicy::ExponentialBackoff;
-  EXPECT_EQ(make_contention_manager(o, st)->arbitrate(5, 10),
-            CmDecision::kAbortSelf);
+  EXPECT_EQ(cm_arbitrate(/*self=*/5, /*opp=*/10), CmDecision::kAbortOther);
+  EXPECT_EQ(cm_arbitrate(10, 5), CmDecision::kAbortSelf);
+  EXPECT_EQ(cm_arbitrate(5, 5), CmDecision::kWait);
 }
 
 // --- Elder protocol ----------------------------------------------------------
@@ -416,31 +389,28 @@ TEST(ElderProtocolTest, StrongerChallengerDisplacesIncumbent) {
 
 TEST(ElderProtocolTest, LockWaitersShedForAForeignElder) {
   CmState st;
-  StmOptions o;
-  o.cm_policy = CmPolicy::TimestampAging;
-  auto cm = make_contention_manager(o, st);
   int dummy = 0;
   const unsigned self = ThreadRegistry::slot();
   const unsigned other = self + 1 < ThreadRegistry::kMaxSlots ? self + 1 : 0;
 
   // No elder: park normally, forever.
-  EXPECT_EQ(cm->on_contended_park(&dummy, true, 0),
+  EXPECT_EQ(st.on_contended_park(&dummy, true, 0),
             proust::sync::CmWaitVerdict::kKeepWaiting);
-  EXPECT_EQ(cm->on_contended_park(&dummy, true, 7),
+  EXPECT_EQ(st.on_contended_park(&dummy, true, 7),
             proust::sync::CmWaitVerdict::kKeepWaiting);
 
   // A foreign elder is published: first round may still park (the elder may
   // release imminently), after that the waiter sheds so the elder's
   // abstract locks drain.
   st.force_elder(other);
-  EXPECT_EQ(cm->on_contended_park(&dummy, true, 0),
+  EXPECT_EQ(st.on_contended_park(&dummy, true, 0),
             proust::sync::CmWaitVerdict::kKeepWaiting);
-  EXPECT_EQ(cm->on_contended_park(&dummy, true, 1),
+  EXPECT_EQ(st.on_contended_park(&dummy, true, 1),
             proust::sync::CmWaitVerdict::kGiveUp);
 
   // The elder itself never sheds.
   st.force_elder(self);
-  EXPECT_EQ(cm->on_contended_park(&dummy, true, 9),
+  EXPECT_EQ(st.on_contended_park(&dummy, true, 9),
             proust::sync::CmWaitVerdict::kKeepWaiting);
   st.clear_elder(self);
 }
@@ -628,56 +598,33 @@ unsigned run_starvation_duel(Stm& stm, int writers, int scan_yields) {
 
 }  // namespace
 
-TEST(StarvationTest, AgingBoundsTheLongReader) {
+class StarvationTest : public ::testing::TestWithParam<Mode> {};
+
+TEST_P(StarvationTest, AgingBoundsTheLongReader) {
   StmOptions o;
   o.cm_policy = CmPolicy::TimestampAging;
   o.cm_elder_after = 8;
   o.cm_elder_yield = std::chrono::milliseconds(5);
-  Stm stm(Mode::Lazy, o);
+  Stm stm(GetParam(), o);
 
   const unsigned attempts = run_starvation_duel(stm, /*writers=*/2,
                                                 /*scan_yields=*/4);
   // Structural bound: within cm_elder_after eligible aborts the reader is
   // the elder (it has the oldest birth, so nothing outranks it), after
   // which committers defer for cm_elder_yield each — the quiet window in
-  // which a 32-read scan finishes. The slack above cm_elder_after absorbs
-  // scheduler noise on small machines.
+  // which a 32-read scan finishes. In EagerWrite a writer defers at commit
+  // while holding its encounter-time lock; the elder dooms it when its scan
+  // reaches that var, and the deferring writer polls the doom and releases.
+  // The slack above cm_elder_after absorbs scheduler noise on small
+  // machines.
   EXPECT_LE(attempts, 96u);
   EXPECT_GE(attempts, 1u);
   EXPECT_EQ(stm.cm_state().elder(), 0u);  // recovery window released
 }
 
-TEST(StarvationTest, KarmaReaderAccumulatesStrengthFromItsScan) {
-  // Karma's work-weighted priority also protects the scan: each aborted
-  // 32-read attempt deposits karma, so the reader outranks fresh writers
-  // well before the elder threshold.
-  StmOptions o;
-  o.cm_policy = CmPolicy::Karma;
-  o.cm_elder_after = 8;
-  o.cm_elder_yield = std::chrono::milliseconds(5);
-  Stm stm(Mode::Lazy, o);
-
-  const unsigned attempts = run_starvation_duel(stm, /*writers=*/2,
-                                                /*scan_yields=*/4);
-  EXPECT_LE(attempts, 96u);
-}
-
-TEST(StarvationTest, BackoffReaderIsBoundedByTheElderAlone) {
-  // Plain backoff never arbitrates (requester-aborts) and every caller
-  // publishes the same weak priority, so nothing but the elder protocol can
-  // rescue the reader. Progress tracking switches that protocol on for a
-  // trivial policy: past cm_elder_after eligible aborts the reader runs at
-  // priority 0 and the writers' commits defer to it.
-  StmOptions o;
-  o.cm_policy = CmPolicy::ExponentialBackoff;
-  o.cm_progress_tracking = true;
-  o.cm_elder_after = 8;
-  o.cm_elder_yield = std::chrono::milliseconds(5);
-  Stm stm(Mode::Lazy, o);
-
-  const unsigned attempts = run_starvation_duel(stm, /*writers=*/2,
-                                                /*scan_yields=*/4);
-  EXPECT_LE(attempts, 96u);
-  EXPECT_GE(attempts, 1u);
-  EXPECT_EQ(stm.cm_state().elder(), 0u);  // recovery window released
-}
+INSTANTIATE_TEST_SUITE_P(AllModes, StarvationTest,
+                         ::testing::Values(Mode::Lazy, Mode::EagerWrite,
+                                           Mode::EagerAll),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });

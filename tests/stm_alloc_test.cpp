@@ -144,7 +144,7 @@ TEST_P(ZeroAllocTest, RetriesAfterAbortAllocateNothing) {
   // A retry re-runs the attempt against the same arena; the abort/rollback
   // path (undo, lock release, reset) must not allocate either. The throw
   // itself uses the runtime's exception allocator, not operator new.
-  Stm stm(GetParam(), StmOptions{.cm_policy = CmPolicy::None});
+  Stm stm(GetParam());
   std::vector<Var<long>> vars(10);
   const std::size_t n = allocations_in_steady_state([&](int i) {
     stm.atomically([&](Txn& tx) {

@@ -2,7 +2,7 @@
 // "durability"): record staging and recovery roundtrips, epoch density,
 // abort discard, strict/relaxed acknowledgement, segment rotation,
 // torn-tail truncation, half-rotated .tmp discard, and fail-stop behavior
-// on injected I/O errors. The crash-point matrix lives in
+// on I/O errors injected through a common::ChaosFs. The crash-point matrix lives in
 // tests/wal_crash_test.cpp; this file only exercises the live-process
 // paths.
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/chaos_fs.hpp"
 #include "stm/stm.hpp"
 #include "stm/wal.hpp"
 #include "stm/wal_format.hpp"
@@ -410,14 +411,8 @@ TEST(WalTest, IoFailureFailsStopAndRefusesDurableCommits) {
     seen = e;
     ++seen_count;
   };
-  // Inject at the append gate: it fires before any byte of the batch is
-  // written, so the on-disk prefix is exactly the pre-failure history. (A
-  // failure injected at the fsync gate would leave the already-written
-  // batch visible to a live-process recover via the page cache.)
-  bool arm = false;
-  wopts.io_failure = [&](stm::ChaosPoint p) {
-    return (arm && p == stm::ChaosPoint::WalAppend) ? ENOSPC : 0;
-  };
+  proust::common::ChaosFs cfs;
+  wopts.fs = &cfs;
   stm::Wal wal(wopts);
   stm::StmOptions opts;
   opts.durability = &wal;
@@ -429,8 +424,12 @@ TEST(WalTest, IoFailureFailsStopAndRefusesDurableCommits) {
   s.atomically([&](stm::Txn& tx) { tx.wal_log(1, &x, sizeof x); });
   EXPECT_FALSE(wal.failed());
 
-  // Arm the injected ENOSPC: the strict waiter must observe the failure.
-  arm = true;
+  // Fail the next write — the batch's first, so no byte of it reaches the
+  // segment and the on-disk prefix is exactly the pre-failure history. (A
+  // failed fsync would leave the already-written batch visible to a
+  // live-process recover via the page cache.) ENOSPC is fatal, so the
+  // strict waiter must observe the failure.
+  cfs.inject_once({proust::common::FsOp::Write, ENOSPC, false});
   x = 2;
   EXPECT_THROW(
       s.atomically([&](stm::Txn& tx) { tx.wal_log(1, &x, sizeof x); }),
