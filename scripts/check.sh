@@ -81,7 +81,8 @@ cmake --preset tsan
 cmake --build --preset tsan -j"$(nproc)" \
   --target stm_concurrent_test core_map_concurrent_test \
   sync_test core_lock_test sync_stress_test chaos_test \
-  cm_test cm_chaos_test mvcc_test ebr_test read_fast_path_test
+  cm_test cm_chaos_test mvcc_test ebr_test read_fast_path_test \
+  opacity_test
 
 echo "== tsan: run =="
 # tsan.supp masks only the STM's validated-racy core (see the file header);
@@ -97,7 +98,10 @@ TSAN_OPTIONS="$TSAN" ./build-tsan/tests/sync_stress_test
 # Chaos under TSan: injected delays/aborts/timeouts shuffle the interleavings
 # the sanitizer observes. A subset keeps the run inside the time budget.
 TSAN_OPTIONS="$TSAN" ./build-tsan/tests/chaos_test \
-  --gtest_filter='*eager_pess*:*lazy_memo_lazystm*:ChaosDeterminismTest.*'
+  --gtest_filter='*eager_pess*:*eager_opt_eagerall*:*lazy_memo_lazystm*:ChaosDeterminismTest.*'
+# Eager-update opacity needs visible readers (Theorem 5.2): the EagerAll
+# reader-bit handshake against encounter-time writers, under the detector.
+TSAN_OPTIONS="$TSAN" ./build-tsan/tests/opacity_test --gtest_filter='*EagerAll*'
 # Contention management under TSan: the doom/priority/elder protocol is
 # lock-free cross-thread state; the cm label runs the whole surface (unit +
 # chaos matrix) with the race detector watching.

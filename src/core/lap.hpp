@@ -60,18 +60,25 @@ class OptimisticLap {
   void acquire(stm::Txn& tx, const Key& key, bool write) {
     stm::Var<std::uint64_t>& loc = slot(key);
     if (write) {
-      // Validated read BEFORE the blind stamp write: the wrapped operation
+      // Theorem 5.3's order, write(α) first: under the eager modes the stamp
+      // write takes the slot's orec lock before anything else, so of two
+      // transactions racing for one CA slot the loser aborts once with
+      // WriteLocked. Reading first would publish an EagerAll reader bit that
+      // makes *both* racers abort VisibleReader on each other. Under Lazy the
+      // write is buffered until commit, so the order changes nothing there.
+      //
+      // The validated read still comes BEFORE the wrapped operation, which
       // is about to observe base state for this abstract region (a memo
-      // line's first-touch read, an eager mutation's old value), so any
-      // commit already serialized before this transaction — wv <= rv —
-      // must have finished applying. The validation enforces exactly that:
-      // a committer still inside its commit window holds this stripe's
-      // lock (ReadLocked -> abort), and one that released it has replayed.
-      // Without this, an injected delay between a peer's wv generation and
-      // its replay lets the operation read pre-commit state that the
-      // post_op read-after cannot distinguish (wv <= rv validates clean).
-      tx.read_validate(loc);
+      // line's first-touch read, an eager mutation's old value): any commit
+      // already serialized before this transaction — wv <= rv — must have
+      // finished applying. A committer still inside its commit window holds
+      // this stripe's lock (the write or the read aborts), and one that
+      // released it has replayed. Without the read, an injected delay
+      // between a peer's wv generation and its replay lets the operation
+      // read pre-commit state that the post_op read-after cannot distinguish
+      // (wv <= rv validates clean).
       tx.write(loc, tx.fresh_stamp());
+      tx.read_validate(loc);
     } else {
       tx.read_validate(loc);
     }

@@ -197,12 +197,20 @@ void Txn::cm_commit_entry() {
   // on a saturated machine the elder actually gets the cycles) instead of
   // racing it for orecs and the clock. Bounded by cm_elder_yield — a wedged
   // elder can slow commits, never stop them — and aborted early if the
-  // elder dooms us (we may hold encounter-time locks it needs).
+  // elder dooms us. An eager attempt already holds encounter-time locks the
+  // elder may need: it polls with yield instead, so a doom is acted on
+  // within the elder's bounded conflict wait (kCmWaitRounds) rather than
+  // after a 20 µs sleep that outlasts it and aborts the elder ReadLocked.
+  const bool holds_locks = mode_ != Mode::Lazy && !arena_.writes.empty();
   const auto deadline =
       std::chrono::steady_clock::now() + stm_.options().cm_elder_yield;
   const std::uint64_t t0 = now_ns();
   while (std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    if (holds_locks) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
     if (st.elder() != elder) break;  // the elder finished; window over
     const std::uint64_t d = cm_cell_->doom.load(std::memory_order_acquire);
     if (d != 0) {
@@ -257,9 +265,14 @@ detail::WriteEntry& Txn::new_write(VarBase* var) {
 
 void Txn::mark_reader(VarBase& var) {
   const std::uint64_t mask = std::uint64_t{1} << slot_;
-  const std::uint64_t old =
-      var.readers_.fetch_or(mask, std::memory_order_acq_rel);
-  if ((old & mask) == 0) arena_.reader_marks.push_back(&var);
+  // Already marked in this attempt: only this slot sets or clears its bit,
+  // and every mark is cleared at attempt end, so a set bit is this
+  // attempt's own. The RMW that set it precedes this read's orec load in
+  // program order, so the visible-reader handshake still holds and a
+  // re-read costs a plain load instead of a locked RMW.
+  if ((var.readers_.load(std::memory_order_relaxed) & mask) != 0) return;
+  var.readers_.fetch_or(mask, std::memory_order_acq_rel);
+  arena_.reader_marks.push_back(&var);
 }
 
 void Txn::clear_reader_marks() noexcept {

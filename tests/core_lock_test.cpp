@@ -25,7 +25,7 @@ TEST(OptimisticLap, WriteAcquireWritesUniqueStampToCaSlot) {
   });
   const auto s = stm.stats().snapshot();
   EXPECT_EQ(s.writes, 2u);
-  EXPECT_EQ(s.reads, 2u) << "write acquires validate the stripe first";
+  EXPECT_EQ(s.reads, 2u) << "write acquires also validate the stripe";
 }
 
 TEST(OptimisticLap, ReadAcquireIsValidatedRead) {

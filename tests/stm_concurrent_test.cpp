@@ -4,10 +4,12 @@
 
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <deque>
 #include <thread>
 #include <vector>
 
+#include "core/lap.hpp"
 #include "stm/stm.hpp"
 
 using namespace proust::stm;
@@ -177,3 +179,100 @@ INSTANTIATE_TEST_SUITE_P(AllModes, StmConcurrentTest,
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });
+
+namespace {
+std::uint64_t aborts_of(Stm& stm, AbortReason r) {
+  return stm.stats().snapshot().aborts[static_cast<std::size_t>(r)];
+}
+}  // namespace
+
+// Theorem 5.3's CA protocol is write(α) first. Under EagerAll a write
+// acquire that read the slot first would publish a reader bit, and two
+// racing writers could each abort VisibleReader on the other's bit. Lock
+// first: the holder never sees the loser, and the loser aborts WriteLocked.
+TEST(EagerAllCaTest, EagerAllCaWriteRaceAbortsOnlyTheLoser) {
+  Stm stm{Mode::EagerAll};
+  proust::core::OptimisticLap<long> lap(stm, 16);
+  constexpr long kKey = 7;
+  std::atomic<bool> held{false};
+  std::atomic<int> loser_attempts{0};
+  int holder_attempts = 0;
+  stm.stats().reset();
+
+  std::thread holder([&] {
+    stm.atomically([&](Txn& tx) {
+      ++holder_attempts;
+      lap.acquire(tx, kKey, /*write=*/true);
+      if (holder_attempts == 1) {
+        held.store(true);
+        // Stall until the loser has aborted at least once (bounded, so a
+        // regression fails the expectations instead of hanging).
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (loser_attempts.load() < 2 &&
+               std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::yield();
+        }
+      }
+    });
+  });
+  while (!held.load()) std::this_thread::yield();
+  stm.atomically([&](Txn& tx) {
+    loser_attempts.fetch_add(1);
+    lap.acquire(tx, kKey, /*write=*/true);
+  });
+  holder.join();
+
+  EXPECT_EQ(holder_attempts, 1) << "the lock holder must never abort";
+  EXPECT_GE(loser_attempts.load(), 2);
+  const StatsSnapshot s = stm.stats().snapshot();
+  const std::uint64_t write_locked =
+      s.aborts[static_cast<std::size_t>(AbortReason::WriteLocked)];
+  EXPECT_GE(write_locked, 1u);
+  EXPECT_EQ(s.aborts[static_cast<std::size_t>(AbortReason::VisibleReader)],
+            0u);
+  EXPECT_EQ(s.total_aborts(), write_locked)
+      << "every abort is the loser's WriteLocked:\n" << s.to_string();
+}
+
+// A re-read skips the reader-bit RMW when this attempt already holds the
+// bit. Neither a commit after 1000 re-reads nor an explicit retry abort may
+// leave the bit behind: a writer on another thread must then commit on its
+// first attempt without a VisibleReader abort.
+TEST(EagerAllCaTest, EagerAllRereadMarksOnce) {
+  Stm stm{Mode::EagerAll};
+  Var<long> v(0);
+  auto writer_commits_first_time = [&](long value) {
+    const std::uint64_t before = aborts_of(stm, AbortReason::VisibleReader);
+    int attempts = 0;
+    std::thread([&] {
+      stm.atomically([&](Txn& tx) {
+        ++attempts;
+        tx.write(v, value);
+      });
+    }).join();
+    EXPECT_EQ(attempts, 1);
+    EXPECT_EQ(aborts_of(stm, AbortReason::VisibleReader) - before, 0u);
+  };
+
+  long sum = 0;
+  stm.atomically([&](Txn& tx) {
+    sum = 0;
+    for (int i = 0; i < 1000; ++i) sum += tx.read(v);
+  });
+  EXPECT_EQ(sum, 0);
+  writer_commits_first_time(1);
+
+  const std::uint64_t explicit_before = aborts_of(stm, AbortReason::Explicit);
+  int attempts = 0;
+  stm.atomically([&](Txn& tx) {
+    if (++attempts == 1) {
+      for (int i = 0; i < 1000; ++i) sum += tx.read(v);
+      tx.retry();
+    }
+  });
+  EXPECT_EQ(attempts, 2);
+  EXPECT_EQ(aborts_of(stm, AbortReason::Explicit) - explicit_before, 1u);
+  writer_commits_first_time(2);
+  EXPECT_EQ(v.unsafe_ref(), 2);
+}
